@@ -135,6 +135,8 @@ def parse_config(path) -> ExperimentConfig:
             vals[key] = caster(value)
         except ValueError as exc:
             raise InvalidArgument(f"{path}: key {key!r}: {exc}") from exc
+        if caster is float and not math.isfinite(vals[key]):
+            raise InvalidArgument(f"{path}: key {key!r}: value must be finite, got {value!r}")
     if "r" not in vals or "theta" not in vals:
         raise InvalidArgument(f"{path}: config must set r and theta")
     cat = CatSpec(vals["r"], vals["theta"], vals.get("sign", "plus"))
@@ -296,7 +298,10 @@ def _cmd_noise_study(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
-    rng = np.random.default_rng(20250814 if args.seed is None else args.seed)
+    seed = 20250814 if args.seed is None else args.seed
+    if seed < 0:
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(seed)
 
     spec = CatSpec(math.sqrt(5.0), 1.11)
     terms = cat_wigner_terms(spec)

@@ -48,8 +48,8 @@ class NoiseSpec:
             raise InvalidArgument(f"unknown noise model {self.model!r}")
         if not (isinstance(self.runs, int) and self.runs >= 1):
             raise InvalidArgument(f"runs must be a positive integer, got {self.runs}")
-        if not isinstance(self.seed, int):
-            raise InvalidArgument(f"seed must be an integer, got {self.seed!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise InvalidArgument(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def perturb(
@@ -254,16 +254,15 @@ def monte_carlo_study(
         x_grid = default_x_grid(cat.mean_photon)
     if recon_config is None:
         recon_config = ReconstructionConfig.for_mean_photon(cat.mean_photon)
+    table = build_table(state, phases, x_grid)
+    clean_ext = extend_phases(table)
     if probe_point is None:
-        clean_ext = extend_phases(build_table(state, phases, x_grid))
         report = find_minimum(
             lambda u, v: reconstruct_at(clean_ext, u, v, recon_config),
             ((0.0, 2.0 * cat.r), (0.0, 0.0)),
             step=0.01,
         )
         probe_point = report.location
-    table = build_table(state, phases, x_grid)
-    clean_ext = extend_phases(table)
     u0, v0 = float(probe_point[0]), float(probe_point[1])
     clean_value = float(reconstruct_at(clean_ext, u0, v0, recon_config)) * scale
     samples = np.empty(noise.runs)

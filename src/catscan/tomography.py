@@ -4,10 +4,20 @@ W(u, v) = (1 / (4 pi^2)) int_0^pi dphi int dx p(x, phi) K(x - u cos(phi) - v sin
 with the cutoff kernel K(xi) = int_{-kc}^{kc} |k| exp(i k xi) dk. The overall
 constant is fixed by vacuum calibration: reconstructing the vacuum table must
 return the 2/pi peak.
+
+The sum is evaluated in Fourier-slice form (Kak & Slaney, ch. 3): swapping
+the x and k integrals gives each slice's characteristic function
+P_i(k) = sum_x w_x p_i(x) exp(i k x), and
+
+    W(u, v) = (1 / (4 pi^2)) sum_i w_i int_0^kc 2 k Re[P_i(k) exp(-i k s_i)] dk
+
+with s_i = u cos(phi_i) + v sin(phi_i). The k integral uses Gauss-Legendre
+nodes, enough of them to be exact to rounding for every |x - s_i| involved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +32,9 @@ PHASE_EXTENSIONS = ("conjugation_symmetry", "none")
 FIT_MODELS = ("cubic_spline", "none")
 QUAD_RULES = ("trapezoid",)
 
-_POINT_CHUNK = 2048
+# Gauss-Legendre rules past this size cost seconds to build and tens of MB
+# to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
+_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -53,9 +65,10 @@ class ReconstructionConfig:
 def filter_kernel(xi, kc: float):
     """Closed form of int_{-kc}^{kc} |k| exp(i k xi) dk.
 
-    K(xi) = (2/xi^2)(cos(kc xi) - 1) + (2 kc / xi) sin(kc xi); the series
-    kc^2 (1 - (kc xi)^2 / 4) takes over for |kc xi| < 1e-4 where the closed
-    form loses digits to cancellation.
+    K(xi) = -4 sin^2(kc xi / 2) / xi^2 + (2 kc / xi) sin(kc xi), which is
+    (2/xi^2)(cos(kc xi) - 1) + (2 kc / xi) sin(kc xi) without the cancellation
+    in cos - 1. Only the division by xi^2 remains, so the series
+    kc^2 (1 - t^2/4 + t^4/72), t = kc xi, takes over for |t| < 1e-4.
     """
     if not (kc > 0.0 and math.isfinite(kc)):
         raise InvalidArgument(f"cutoff kc must be positive, got {kc}")
@@ -63,10 +76,12 @@ def filter_kernel(xi, kc: float):
     t = kc * xi_arr
     small = np.abs(t) < 1e-4
     xi_safe = np.where(small, 1.0, xi_arr)
-    out = (2.0 / xi_safe**2) * (np.cos(kc * xi_safe) - 1.0) + (
-        2.0 * kc / xi_safe
-    ) * np.sin(kc * xi_safe)
-    out = np.where(small, kc**2 * (1.0 - t**2 / 4.0), out)
+    t_safe = kc * xi_safe
+    out = -4.0 * np.sin(0.5 * t_safe) ** 2 / xi_safe**2 + (2.0 * kc / xi_safe) * np.sin(
+        t_safe
+    )
+    t2 = t**2
+    out = np.where(small, kc**2 * (1.0 - t2 / 4.0 + t2**2 / 72.0), out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -138,26 +153,28 @@ def fit_slices(table: QuadratureTable, fit_model: str = "cubic_spline") -> list:
     raise InvalidArgument(f"unknown fit_model {fit_model!r}")
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    w = np.empty_like(x)
+    dx = np.diff(x)
+    w[0] = dx[0] / 2.0
+    w[-1] = dx[-1] / 2.0
+    w[1:-1] = (dx[:-1] + dx[1:]) / 2.0
+    return w
+
+
 def _phase_weights(phases: np.ndarray) -> np.ndarray:
     span = phases[-1] - phases[0]
     diffs = np.diff(phases)
-    if abs(span - math.pi) < 1e-9:
-        # closed [0, pi] grid: trapezoid (half weight at both endpoints)
-        w = np.empty_like(phases)
-        w[0] = diffs[0] / 2.0
-        w[-1] = diffs[-1] / 2.0
-        w[1:-1] = (diffs[:-1] + diffs[1:]) / 2.0
-        return w
     uniform = diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=0, atol=1e-12)
-    if uniform and abs(span + diffs[0] - math.pi) < 1e-9:
+    if abs(span - math.pi) >= 1e-9 and uniform and abs(span + diffs[0] - math.pi) < 1e-9:
         # periodic [0, pi) grid: uniform weights
         return np.full(phases.shape, diffs[0])
-    return np.concatenate(
-        ([diffs[0] / 2.0], (diffs[:-1] + diffs[1:]) / 2.0, [diffs[-1] / 2.0])
-    )
+    # closed [0, pi] or irregular grid: trapezoid (half weight at both endpoints)
+    return _trapezoid_weights(phases)
 
 
 def _prepare(table: QuadratureTable, config: ReconstructionConfig):
+    """Phases, phase weights, the integration grid and the densities on it."""
     phases = table.phases
     if phases[-1] < math.pi / 2 + 1e-9:
         raise InvalidArgument(
@@ -169,20 +186,45 @@ def _prepare(table: QuadratureTable, config: ReconstructionConfig):
         raise InvalidArgument("x grid must be symmetric about 0")
     if config.fit_model == "cubic_spline":
         # evaluate the spline fits on a twice-refined grid before integrating
-        n_fine = 2 * (x.size - 1) + 1
-        x_fine = np.linspace(x[0], x[-1], n_fine)
-        fits = fit_slices(table, config.fit_model)
-        density = np.array([f(x_fine) for f in fits])
+        x_fine = np.linspace(x[0], x[-1], 2 * (x.size - 1) + 1)
+        density = CubicSpline(x, table.density, axis=1)(x_fine)
     else:
         x_fine = x
         density = table.density
-    wx = np.empty_like(x_fine)
-    dx = np.diff(x_fine)
-    wx[0] = dx[0] / 2.0
-    wx[-1] = dx[-1] / 2.0
-    wx[1:-1] = (dx[:-1] + dx[1:]) / 2.0
-    weighted = density * wx[None, :]
-    return phases, _phase_weights(phases), x_fine, weighted
+    return phases, _phase_weights(phases), x_fine, density
+
+
+def _node_count(omega: float) -> int:
+    """Gauss-Legendre nodes that integrate 2 k cos(k xi) over [0, kc] to rounding.
+
+    omega bounds kc |xi|. The rule needs about omega / 4 nodes plus a
+    transition band that grows as omega^(1/3); the constants keep at least 5%
+    headroom over the smallest converged count for omega from 1 to 800.
+    """
+    return math.ceil(omega / 4.0 + 5.0 * omega ** (1.0 / 3.0)) + 2
+
+
+@functools.lru_cache(maxsize=4)
+def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
+    """k nodes, their weights 2 k w_k, and the x >= 0 cos/sin tables.
+
+    The grid is symmetric, so P(k) = sum_x w_x p(x) exp(i k x) folds onto
+    x >= 0: cos pairs with p(x) + p(-x) and sin with p(x) - p(-x). An x = 0
+    node appears twice in the even fold, so its weight is halved.
+    """
+    x = np.frombuffer(x_bytes)
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    k = 0.5 * kc * (nodes + 1.0)
+    k_weights = kc * weights * k
+    half = x.size // 2
+    wx = _trapezoid_weights(x)[half:]
+    if x.size % 2:
+        wx[0] *= 0.5
+    arg = np.outer(x[half:], k)
+    tables = (k, k_weights, wx[:, None] * np.cos(arg), wx[:, None] * np.sin(arg))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
@@ -191,20 +233,33 @@ def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: Reconstructio
     im_arr = np.atleast_1d(np.asarray(im_pts, dtype=np.float64))
     if re_arr.shape != im_arr.shape:
         raise InvalidArgument("re and im point arrays must have the same shape")
-    phases, wph, x_fine, weighted = _prepare(table, config)
-    flat_u = re_arr.ravel()
-    flat_v = im_arr.ravel()
-    out = np.zeros(flat_u.shape)
-    for start in range(0, flat_u.size, _POINT_CHUNK):
-        u = flat_u[start : start + _POINT_CHUNK]
-        v = flat_v[start : start + _POINT_CHUNK]
-        acc = np.zeros(u.shape)
-        for i in range(phases.size):
-            s = u * math.cos(phases[i]) + v * math.sin(phases[i])
-            kern = filter_kernel(x_fine[None, :] - s[:, None], config.cutoff_kc)
-            acc += wph[i] * (kern @ weighted[i])
-        out[start : start + _POINT_CHUNK] = acc
-    out /= 4.0 * math.pi**2
+    if not (np.all(np.isfinite(re_arr)) and np.all(np.isfinite(im_arr))):
+        raise InvalidArgument("reconstruction points must be finite")
+    phases, wph, x_fine, density = _prepare(table, config)
+    u = re_arr.ravel()
+    v = im_arr.ravel()
+    kc = config.cutoff_kc
+    reach = float(np.max(np.hypot(u, v), initial=0.0))
+    omega = kc * (float(x_fine[-1]) + reach)
+    # _node_count(omega) > omega / 4, so the bound also keeps an overflowed
+    # reach (inf) away from math.ceil
+    n_nodes = _node_count(omega) if omega < 4.0 * _MAX_NODES else math.inf
+    if n_nodes > _MAX_NODES:
+        raise InvalidArgument(
+            f"cutoff_kc * (max|x| + max|(u, v)|) = {omega:.4g} needs more than "
+            f"{_MAX_NODES} k nodes; lower the cutoff or the point range"
+        )
+    k, k_weights, cos_table, sin_table = _node_tables(x_fine.tobytes(), kc, n_nodes)
+    half = x_fine.size // 2
+    mirrored = density[:, ::-1]
+    scale = wph[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
+    re_part = ((density + mirrored)[:, half:] @ cos_table) * scale
+    im_part = ((density - mirrored)[:, half:] @ sin_table) * scale
+    # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
+    out = np.zeros(u.shape)
+    for i, phi in enumerate(phases):
+        arg = np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)
+        out += np.cos(arg) @ re_part[i] + np.sin(arg) @ im_part[i]
     if np.isscalar(re_pts) and np.isscalar(im_pts):
         return float(out[0])
     return out.reshape(re_arr.shape)

@@ -225,3 +225,40 @@ def test_presets_match_committed_golden(tmp_path, capsys, preset, command, artif
     for key in ("value", "mean", "stddev"):
         assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-12)
     assert got["location"] == pytest.approx(want["location"], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "extra,command,artifact",
+    [
+        (
+            "probe_re = nan\nnoise_magnitude = 0.25\nnoise_runs = 2\n",
+            "noise-study",
+            "smoke_noise.json",
+        ),
+        ("wigner_range = inf\n", "wigner-oracle", "smoke_wigner.csv"),
+        ("search_re_max = inf\n", "reconstruct", "smoke_minimum.json"),
+    ],
+    ids=["probe_re-nan", "wigner_range-inf", "search_re_max-inf"],
+)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, extra, command, artifact):
+    config = write_config(tmp_path, BASE_CONFIG + extra)
+    code = main([command, "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:") and "finite" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / artifact).exists()
+
+
+@pytest.mark.parametrize("command", ["noise-study", "verify"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    argv = [command, "--out", str(tmp_path), "--seed", "-1"]
+    if command == "noise-study":
+        config = write_config(
+            tmp_path, BASE_CONFIG + "probe_re = 0.3346\nnoise_magnitude = 0.25\nnoise_runs = 2\n"
+        )
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert err.count("\n") == 1

@@ -51,6 +51,11 @@ def test_noise_spec_validation():
         NoiseSpec(magnitude=0.2, runs=10, seed=1, model="per_point")
 
 
+def test_noise_spec_rejects_negative_seed():
+    with pytest.raises(InvalidArgument):
+        NoiseSpec(magnitude=0.2, runs=10, seed=-1)
+
+
 def test_perturb_is_deterministic(cat_table):
     spec = NoiseSpec(magnitude=0.25, runs=5, seed=99)
     a = perturb(cat_table, spec, 2)
@@ -205,6 +210,22 @@ def test_monte_carlo_report_fields():
     assert report.config["runs"] == 5
     assert report.config["noise_magnitude"] == 0.25
     assert report.config["cutoff_kc"] == pytest.approx(2.0 * (2.0 * SQRT5 + 4.0))
+
+
+def test_monte_carlo_without_probe_builds_clean_table_once(monkeypatch):
+    import catscan.experiment as experiment_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_table(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_module, "build_table", counting)
+    spec = CatSpec(SQRT5, math.pi / 2)
+    report = monte_carlo_study(spec, NoiseSpec(magnitude=0.25, runs=2, seed=3))
+    assert len(calls) == 1
+    assert abs(report.location[0] - 0.3346) < 0.01
 
 
 def test_monte_carlo_single_run_has_zero_stddev():

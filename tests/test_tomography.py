@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import catscan.tomography as tomography_module
 
 from catscan import (
     CatSpec,
@@ -24,6 +27,7 @@ from catscan import (
     vacuum,
     wigner_superposition,
 )
+from catscan.cli import parse_config
 
 SQRT5 = math.sqrt(5.0)
 TWO_OVER_PI = 2.0 / math.pi
@@ -62,6 +66,14 @@ def test_filter_kernel_at_zero_and_series_handoff():
     assert abs(below - above) < 1e-8 * kc**2
     with pytest.raises(InvalidArgument):
         filter_kernel(1.0, -2.0)
+
+
+@pytest.mark.parametrize("t", [1.01e-4, 2e-4, 1e-3])
+def test_filter_kernel_accurate_above_series_switch(t):
+    kc = 10.0
+    series = kc**2 * (1.0 - t**2 / 4.0 + t**4 / 72.0)
+    for xi in (t / kc, -t / kc):
+        assert abs(filter_kernel(xi, kc) / series - 1.0) < 1e-13
 
 
 def test_extend_phases_doubles_coverage():
@@ -211,3 +223,73 @@ def test_fit_model_none_still_reconstructs():
     cfg = ReconstructionConfig(cutoff_kc=8.0, fit_model="none")
     peak = reconstruct_at(table, 0.0, 0.0, cfg)
     assert abs(peak / TWO_OVER_PI - 1.0) < 0.01
+
+
+def _explicit_back_projection(table, u, v, kc, x_nodes, density):
+    """The filter_kernel sum over slices and x nodes, trapezoid in both."""
+    rows = []
+    for row, phi in zip(density, table.phases):
+        kernel = filter_kernel(x_nodes - u * math.cos(phi) - v * math.sin(phi), kc)
+        rows.append(np.trapezoid(row * kernel, x_nodes))
+    return np.trapezoid(rows, table.phases) / (4.0 * math.pi**2)
+
+
+@pytest.mark.parametrize("fit_model", ["cubic_spline", "none"])
+def test_engine_matches_explicit_kernel_sum(fit_model):
+    state = make_cat(CatSpec(SQRT5, 1.11), 50)
+    table = extend_phases(build_table(state, default_phases(7), np.linspace(-6.0, 6.0, 241)))
+    cfg = ReconstructionConfig(cutoff_kc=12.0, fit_model=fit_model)
+    if fit_model == "cubic_spline":
+        x_nodes = np.linspace(-6.0, 6.0, 481)
+        density = np.array([fit(x_nodes) for fit in fit_slices(table)])
+    else:
+        x_nodes, density = table.x_grid, table.density
+    pts_u = np.array([0.0, 0.35, 1.2, -2.0, 2.2])
+    pts_v = np.array([0.0, 0.1, -0.4, 1.5, 0.0])
+    got = reconstruct_at(table, pts_u, pts_v, cfg)
+    want = np.array(
+        [
+            _explicit_back_projection(table, u, v, 12.0, x_nodes, density)
+            for u, v in zip(pts_u, pts_v)
+        ]
+    )
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+PRESETS = ("theta90", "theta63", "theta02", "nbar10", "noise25", "noise50")
+FAR_POINTS = ((15.0, 0.0), (0.0, -15.0), (-10.6, 10.6), (12.0, 9.0))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_doubling_node_count_leaves_w_unchanged(preset, monkeypatch):
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.cfg")
+    state = make_cat(cfg.cat, cfg.n_max)
+    table = extend_phases(build_table(state, cfg.phases(), cfg.x_grid()))
+    probe = reconstruct_at(table, *cfg.probe, cfg.recon)
+    far = [reconstruct_at(table, u, v, cfg.recon) for u, v in FAR_POINTS]
+    node_count = tomography_module._node_count
+    monkeypatch.setattr(tomography_module, "_node_count", lambda omega: 2 * node_count(omega))
+    probe_2m = reconstruct_at(table, *cfg.probe, cfg.recon)
+    far_2m = [reconstruct_at(table, u, v, cfg.recon) for u, v in FAR_POINTS]
+    assert abs(probe - probe_2m) < 1e-13 * abs(probe_2m)
+    # W is near zero far out, so there the change is measured against the
+    # largest |W| a state can have, 2/pi
+    for a, b in zip(far, far_2m):
+        assert abs(a - b) < 1e-13 * TWO_OVER_PI
+
+
+def test_reconstruct_rejects_non_finite_points():
+    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    cfg = ReconstructionConfig(cutoff_kc=8.0)
+    for u, v in ((math.nan, 0.0), (0.0, math.inf), (np.array([0.0, -math.inf]), np.zeros(2))):
+        with pytest.raises(InvalidArgument):
+            reconstruct_at(table, u, v, cfg)
+
+
+def test_reconstruct_rejects_node_count_past_limit():
+    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    for u in (1.0e4, 1.0e308):
+        with pytest.raises(InvalidArgument):
+            reconstruct_at(table, u, u, ReconstructionConfig(cutoff_kc=8.0))
+    with pytest.raises(InvalidArgument):
+        reconstruct_at(table, 0.0, 0.0, ReconstructionConfig(cutoff_kc=1.0e5))
