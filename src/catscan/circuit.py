@@ -50,6 +50,8 @@ class CatSpec:
     def __post_init__(self):
         if not self.r > 0:
             raise InvalidArgument("r must be positive")
+        if not math.isfinite(self.r * self.r):
+            raise InvalidArgument(f"r^2 must be finite, got r = {self.r!r}")
         if not 0 < self.theta <= math.pi / 2:
             raise InvalidArgument("theta must lie in (0, pi/2]")
         if self.sign not in ("plus", "minus"):

@@ -18,7 +18,7 @@ from .errors import (
     SymmetryViolation,
     TruncationError,
 )
-from .experiment import NoiseSpec, default_n_max, find_minimum, monte_carlo_study
+from .experiment import N_MAX_LIMIT, NoiseSpec, default_n_max, find_minimum, monte_carlo_study
 from .fock import mean_photon_number, vacuum
 from .quadrature import QuadratureTable, build_table, default_phases, default_x_grid
 from .tomography import (
@@ -44,9 +44,6 @@ EXIT_SYMMETRY = 4
 EXIT_REGION = 5
 EXIT_OTHER = 6
 
-_BOOLS = {"true": True, "false": False, "yes": True, "no": False}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     cat: CatSpec
@@ -68,8 +65,8 @@ class ExperimentConfig:
             raise InvalidArgument("x grid spec requires x_max > x_min and x_step > 0")
         if self.phase_count < 2:
             raise InvalidArgument(f"phase_count must be >= 2, got {self.phase_count}")
-        if self.n_max < 1:
-            raise InvalidArgument(f"n_max must be >= 1, got {self.n_max}")
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise InvalidArgument(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
         if not (self.wigner_step > 0.0 and self.wigner_range > 0.0):
             raise InvalidArgument("wigner grid spec requires positive range and step")
 
@@ -93,7 +90,6 @@ _SCHEMA = {
     "x_step": float,
     "cutoff_kc": float,
     "fit_model": str,
-    "phase_extension": str,
     "noise_magnitude": float,
     "noise_runs": int,
     "noise_seed": int,
@@ -140,13 +136,15 @@ def parse_config(path) -> ExperimentConfig:
     if "r" not in vals or "theta" not in vals:
         raise InvalidArgument(f"{path}: config must set r and theta")
     cat = CatSpec(vals["r"], vals["theta"], vals.get("sign", "plus"))
+    if cat.mean_photon > N_MAX_LIMIT:
+        raise InvalidArgument(
+            f"{path}: mean photon number r^2 = {cat.mean_photon:.6g} exceeds {N_MAX_LIMIT}"
+        )
     n_max = vals.get("n_max", default_n_max(cat.mean_photon))
     default_grid = default_x_grid(cat.mean_photon)
     recon_kwargs = {}
     if "fit_model" in vals:
         recon_kwargs["fit_model"] = vals["fit_model"]
-    if "phase_extension" in vals:
-        recon_kwargs["phase_extension"] = vals["phase_extension"]
     if "cutoff_kc" in vals:
         recon = ReconstructionConfig(cutoff_kc=vals["cutoff_kc"], **recon_kwargs)
     else:

@@ -17,6 +17,9 @@ from .wigner import WignerGrid, convention_factor
 NOISE_MODELS = ("per_slice_multiplicative",)
 SEARCH_MODES = ("global", "local")
 REPORT_SCHEMA = "catscan/minimum-report/1"
+# Largest Fock truncation a config may ask for, and so the largest mean photon
+# number: the quadrature wavefunction table is ~60 MB here on the default grid.
+N_MAX_LIMIT = 1000
 
 
 def default_n_max(mean_photon: float) -> int:
@@ -52,30 +55,28 @@ class NoiseSpec:
             raise InvalidArgument(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def perturb(
-    table: QuadratureTable,
-    spec: NoiseSpec,
-    run_index: int,
-    renormalize: bool = False,
-) -> QuadratureTable:
-    """Scale each phase slice by (1 + eps), eps ~ U[-m, m].
+def _slice_factors(spec: NoiseSpec, run_index: int, slice_count: int) -> np.ndarray:
+    """Factors 1 + eps, eps ~ U[-m, m], of each slice in one run.
 
     The draw for slice i of run r seeds a fresh generator from
     (seed, run, slice), so runs and slices are independent and order-free.
-    With renormalize=True each scaled slice is rescaled back to unit area.
+    """
+    factors = np.empty(slice_count)
+    for i in range(slice_count):
+        rng = np.random.default_rng([spec.seed, run_index, i])
+        factors[i] = 1.0 + rng.uniform(-spec.magnitude, spec.magnitude)
+    return factors
+
+
+def perturb(table: QuadratureTable, spec: NoiseSpec, run_index: int) -> QuadratureTable:
+    """Scale each phase slice by its factor 1 + eps for run run_index.
+
+    The reference for monte_carlo_study, which draws the same factors.
     """
     if run_index < 0:
         raise InvalidArgument(f"run_index must be >= 0, got {run_index}")
-    density = table.density.copy()
-    for i in range(table.phases.size):
-        rng = np.random.default_rng([spec.seed, run_index, i])
-        eps = rng.uniform(-spec.magnitude, spec.magnitude)
-        density[i] *= 1.0 + eps
-        if renormalize:
-            area = np.trapezoid(density[i], table.x_grid)
-            if area > 0.0:
-                density[i] /= area
-    return QuadratureTable(table.phases, table.x_grid, density)
+    factors = _slice_factors(spec, run_index, table.phases.size)
+    return QuadratureTable(table.phases, table.x_grid, table.density * factors[:, None])
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,9 @@ def find_minimum(
         v_star += dv
     if evaluate is not None:
         f_star = float(np.asarray(evaluate(np.array([u_star]), np.array([v_star])))[0])
-        f_star = min(f_star, f_best)
+        if f_star > f_best:
+            # the parabola misread a non-smooth target: keep the scanned node
+            u_star, v_star, f_star = float(us[iu]), float(vs[iv]), f_best
     else:
         f_star = f_best - drop_u - drop_v
     out_scale = convention_factor(convention)
@@ -238,10 +241,12 @@ def monte_carlo_study(
     phases=None,
     x_grid=None,
 ) -> MinimumReport:
-    """Repeated reconstruction of W at a probe point under slice noise.
+    """Reconstruction of W at a probe point under per-slice noise.
 
-    The clean table is built once, each run perturbs it, extends the phases,
-    and reconstructs at the probe. value holds the clean reconstruction;
+    Back projection is linear in the densities, so a run that scales slice i
+    (and its mirror) by 1 + eps_i gives sum_i (1 + eps_i) W_i, where W_i is
+    reconstructed from slice i and its mirror alone. Each W_i is computed
+    once; value is their sum, and each run applies the factors perturb draws.
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
     """
     scale = convention_factor(convention)
@@ -255,8 +260,8 @@ def monte_carlo_study(
     if recon_config is None:
         recon_config = ReconstructionConfig.for_mean_photon(cat.mean_photon)
     table = build_table(state, phases, x_grid)
-    clean_ext = extend_phases(table)
     if probe_point is None:
+        clean_ext = extend_phases(table)
         report = find_minimum(
             lambda u, v: reconstruct_at(clean_ext, u, v, recon_config),
             ((0.0, 2.0 * cat.r), (0.0, 0.0)),
@@ -264,11 +269,13 @@ def monte_carlo_study(
         )
         probe_point = report.location
     u0, v0 = float(probe_point[0]), float(probe_point[1])
-    clean_value = float(reconstruct_at(clean_ext, u0, v0, recon_config)) * scale
-    samples = np.empty(noise.runs)
-    for run in range(noise.runs):
-        noisy = extend_phases(perturb(table, noise, run))
-        samples[run] = float(reconstruct_at(noisy, u0, v0, recon_config)) * scale
+    parts = np.empty(table.phases.size)
+    for i, unit in enumerate(np.eye(parts.size)):
+        single = QuadratureTable(table.phases, table.x_grid, table.density * unit[:, None])
+        parts[i] = float(reconstruct_at(extend_phases(single), u0, v0, recon_config)) * scale
+    clean_value = float(parts.sum())
+    factors = np.array([_slice_factors(noise, run, parts.size) for run in range(noise.runs)])
+    samples = factors @ parts
     stddev = float(np.std(samples, ddof=1)) if noise.runs > 1 else 0.0
     return MinimumReport(
         location=(u0, v0),

@@ -28,9 +28,7 @@ from .errors import InvalidArgument, SymmetryViolation
 from .quadrature import QuadratureTable, quadrature_distribution, quadrature_wavefunctions
 from .wigner import WignerGrid
 
-PHASE_EXTENSIONS = ("conjugation_symmetry", "none")
 FIT_MODELS = ("cubic_spline", "none")
-QUAD_RULES = ("trapezoid",)
 
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
 # to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
@@ -40,19 +38,13 @@ _MAX_NODES = 1024
 @dataclass(frozen=True)
 class ReconstructionConfig:
     cutoff_kc: float
-    phase_extension: str = "conjugation_symmetry"
     fit_model: str = "cubic_spline"
-    quad_rule: str = "trapezoid"
 
     def __post_init__(self):
         if not (self.cutoff_kc > 0.0 and math.isfinite(self.cutoff_kc)):
             raise InvalidArgument(f"cutoff_kc must be positive, got {self.cutoff_kc}")
-        if self.phase_extension not in PHASE_EXTENSIONS:
-            raise InvalidArgument(f"unknown phase_extension {self.phase_extension!r}")
         if self.fit_model not in FIT_MODELS:
             raise InvalidArgument(f"unknown fit_model {self.fit_model!r}")
-        if self.quad_rule not in QUAD_RULES:
-            raise InvalidArgument(f"unknown quad_rule {self.quad_rule!r}")
 
     @classmethod
     def for_mean_photon(cls, mean_photon: float, **kwargs) -> "ReconstructionConfig":

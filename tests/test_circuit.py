@@ -30,6 +30,8 @@ def test_cat_spec_validation():
     with pytest.raises(InvalidArgument):
         CatSpec(-1.0, 0.5)
     with pytest.raises(InvalidArgument):
+        CatSpec(1e200, 0.5)
+    with pytest.raises(InvalidArgument):
         CatSpec(1.0, 0.0)
     with pytest.raises(InvalidArgument):
         CatSpec(1.0, 2.0)

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catscan import InvalidArgument, QuadratureTable, SymmetryViolation, WignerGrid
-from catscan.cli import main, parse_config
+from catscan.cli import _SCHEMA, ExperimentConfig, main, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -262,3 +264,64 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration:")
     assert err.count("\n") == 1
+
+
+def _assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:")
+    assert err.count("\n") == 1
+    return err
+
+
+def test_phase_extension_is_an_unknown_key(tmp_path, capsys):
+    config = write_config(tmp_path, BASE_CONFIG + "phase_extension = conjugation_symmetry\n")
+    assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'phase_extension'" in _assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "r = 1e200\ntheta = 1.5\n",  # r^2 overflows
+        "r = 1e5\ntheta = 1.5\n",  # the derived n_max would be 6e10
+        "r = 1e5\ntheta = 1.5\nn_max = 50\n",
+        "r = 20\ntheta = 1.5\n",  # nbar = 400 fits, its derived n_max 2400 does not
+        "r = 2\ntheta = 1.5\nn_max = 100000\n",
+    ],
+    ids=["r-1e200", "r-1e5", "r-1e5-n_max-50", "r-20", "n_max-1e5"],
+)
+def test_oversized_state_exits_2(tmp_path, capsys, text):
+    config = write_config(tmp_path, text)
+    assert main(["cat-state", "--config", str(config), "--out", str(tmp_path)]) == 2
+    _assert_one_line_config_error(capsys)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "-0", "-1", "1e5", "1e200"]),
+    st.floats().map(repr),
+    st.floats(min_value=-10.0, max_value=10.0).map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+)
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["plus", "minus", "cubic_spline", "none", ""]),
+    st.text(alphabet="abcxyz019.+-e _", max_size=8),
+)
+_KEYS = st.one_of(st.sampled_from(sorted(_SCHEMA)), st.sampled_from(["colour", "R", "r2"]))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    r=_NUMBERS,
+    theta=st.one_of(st.floats(min_value=0.01, max_value=1.57).map(repr), _NUMBERS),
+    extra=st.lists(st.tuples(_KEYS, _VALUES), max_size=6),
+)
+def test_parse_config_returns_config_or_invalid_argument(tmp_path, r, theta, extra):
+    """Mixed known, unknown and duplicate keys; any value string."""
+    lines = [f"r = {r}", f"theta = {theta}"] + [f"{key} = {value}" for key, value in extra]
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    try:
+        cfg = parse_config(path)
+    except InvalidArgument:
+        return
+    assert isinstance(cfg, ExperimentConfig)

@@ -18,10 +18,12 @@ from catscan import (
     default_phases,
     default_x_grid,
     evaluate_grid,
+    extend_phases,
     find_minimum,
     make_cat,
     monte_carlo_study,
     perturb,
+    reconstruct_at,
     wigner_superposition,
 )
 
@@ -85,13 +87,6 @@ def test_perturb_scales_each_slice_uniformly(cat_table):
     assert np.all(factors <= 1.5 + 1e-12)
     # slices are perturbed independently
     assert np.std(factors) > 0.01
-
-
-def test_perturb_renormalize_restores_unit_area(cat_table):
-    spec = NoiseSpec(magnitude=0.4, runs=1, seed=5)
-    out = perturb(cat_table, spec, 0, renormalize=True)
-    for row in out.density:
-        assert abs(np.trapezoid(row, cat_table.x_grid) - 1.0) < 1e-9
 
 
 def test_perturb_rejects_negative_run(cat_table):
@@ -175,6 +170,17 @@ def test_find_minimum_local_mode_picks_secondary_dip():
     assert local_report.value > global_report.value
 
 
+def test_find_minimum_keeps_grid_node_when_refinement_is_worse():
+    # a kink at 0.3012: the parabola through the nodes 0.295, 0.300, 0.305
+    # puts its vertex at 0.2981, where the target (0.0031) exceeds the node's
+    def target(u, v):
+        return np.where(u > 0.3012, 10.0 * (u - 0.3012), 0.3012 - u)
+
+    report = find_minimum(target, ((0.0, 1.0), (0.0, 0.0)))
+    assert report.location[0] == pytest.approx(0.300, abs=1e-12)
+    assert report.value == pytest.approx(float(target(report.location[0], 0.0)), abs=1e-15)
+
+
 def test_find_minimum_validation():
     def target(u, v):
         return u**2 + v**2
@@ -226,6 +232,49 @@ def test_monte_carlo_without_probe_builds_clean_table_once(monkeypatch):
     report = monte_carlo_study(spec, NoiseSpec(magnitude=0.25, runs=2, seed=3))
     assert len(calls) == 1
     assert abs(report.location[0] - 0.3346) < 0.01
+
+
+def _explicit_study(spec, noise, probe):
+    """Mean and stddev of the perturb -> extend_phases -> reconstruct_at loop."""
+    state = make_cat(spec, default_n_max(spec.mean_photon))
+    table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
+    config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
+    samples = [
+        PAPER_SCALE * reconstruct_at(extend_phases(perturb(table, noise, run)), probe, 0.0, config)
+        for run in range(noise.runs)
+    ]
+    return np.mean(samples), np.std(samples, ddof=1) if noise.runs > 1 else 0.0
+
+
+@pytest.mark.parametrize(
+    "theta,probe,magnitude,runs",
+    [(math.pi / 2, 0.3346, 0.5, 7), (0.2, 2.687, 0.25, 7), (math.pi / 2, 0.3346, 0.5, 1)],
+    ids=["theta90", "theta02", "single-run"],
+)
+def test_monte_carlo_matches_explicit_perturbed_reconstructions(theta, probe, magnitude, runs):
+    spec = CatSpec(SQRT5, theta)
+    noise = NoiseSpec(magnitude=magnitude, runs=runs, seed=4242)
+    report = monte_carlo_study(spec, noise, probe_point=(probe, 0.0))
+    mean, stddev = _explicit_study(spec, noise, probe)
+    assert report.mean == pytest.approx(mean, rel=1e-12)
+    assert report.stddev == pytest.approx(stddev, rel=1e-12)
+
+
+def test_monte_carlo_reconstructs_once_per_slice(monkeypatch):
+    import catscan.experiment as experiment_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return reconstruct_at(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_module, "reconstruct_at", counting)
+    spec = CatSpec(SQRT5, math.pi / 2)
+    for runs in (1, 30):
+        calls.clear()
+        monte_carlo_study(spec, NoiseSpec(0.25, runs, seed=8), probe_point=(0.3346, 0.0))
+        assert len(calls) == default_phases().size
 
 
 def test_monte_carlo_single_run_has_zero_stddev():

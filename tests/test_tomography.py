@@ -37,11 +37,7 @@ def test_config_validation():
     with pytest.raises(InvalidArgument):
         ReconstructionConfig(cutoff_kc=0.0)
     with pytest.raises(InvalidArgument):
-        ReconstructionConfig(cutoff_kc=8.0, phase_extension="mirror")
-    with pytest.raises(InvalidArgument):
         ReconstructionConfig(cutoff_kc=8.0, fit_model="quintic")
-    with pytest.raises(InvalidArgument):
-        ReconstructionConfig(cutoff_kc=8.0, quad_rule="simpson")
 
 
 def test_config_for_mean_photon():
