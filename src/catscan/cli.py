@@ -44,6 +44,26 @@ EXIT_SYMMETRY = 4
 EXIT_REGION = 5
 EXIT_OTHER = 6
 
+# Size limits on what a config asks to allocate, checked at parse time.
+# 20,001 x points is step 0.001 over [-10, 10].
+X_POINT_LIMIT = 20_001
+# 361 phases is a quarter-degree step over [0, pi/2].
+PHASE_COUNT_LIMIT = 361
+# Each run draws one generator per slice (~30 us each).
+NOISE_RUNS_LIMIT = 10_000
+# 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
+WIGNER_AXIS_LIMIT = 4_001
+
+
+def _check_grid_size(name: str, points: float, limit: int) -> None:
+    """points is a float, so an overflowed count (inf) fails too.
+
+    The grids round their ends to whole steps, hence the half-point slack.
+    """
+    if not points < limit + 0.5:
+        raise InvalidArgument(f"{name} has {points:.4g} points, more than the limit of {limit}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     cat: CatSpec
@@ -63,12 +83,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.x_step > 0.0 and self.x_max > self.x_min):
             raise InvalidArgument("x grid spec requires x_max > x_min and x_step > 0")
-        if self.phase_count < 2:
-            raise InvalidArgument(f"phase_count must be >= 2, got {self.phase_count}")
+        x_points = (self.x_max - self.x_min) / self.x_step + 1.0
+        _check_grid_size("x grid", x_points, X_POINT_LIMIT)
+        if not 2 <= self.phase_count <= PHASE_COUNT_LIMIT:
+            raise InvalidArgument(
+                f"phase_count must be in [2, {PHASE_COUNT_LIMIT}], got {self.phase_count}"
+            )
         if not 1 <= self.n_max <= N_MAX_LIMIT:
             raise InvalidArgument(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
+        if self.noise is not None and self.noise.runs > NOISE_RUNS_LIMIT:
+            raise InvalidArgument(
+                f"noise_runs must be at most {NOISE_RUNS_LIMIT}, got {self.noise.runs}"
+            )
         if not (self.wigner_step > 0.0 and self.wigner_range > 0.0):
             raise InvalidArgument("wigner grid spec requires positive range and step")
+        axis_points = 2.0 * self.wigner_range / self.wigner_step + 1.0
+        _check_grid_size("wigner grid axis", axis_points, WIGNER_AXIS_LIMIT)
 
     def x_grid(self) -> np.ndarray:
         lo = round(self.x_min / self.x_step)
@@ -89,7 +119,6 @@ _SCHEMA = {
     "x_max": float,
     "x_step": float,
     "cutoff_kc": float,
-    "fit_model": str,
     "noise_magnitude": float,
     "noise_runs": int,
     "noise_seed": int,
@@ -142,13 +171,10 @@ def parse_config(path) -> ExperimentConfig:
         )
     n_max = vals.get("n_max", default_n_max(cat.mean_photon))
     default_grid = default_x_grid(cat.mean_photon)
-    recon_kwargs = {}
-    if "fit_model" in vals:
-        recon_kwargs["fit_model"] = vals["fit_model"]
     if "cutoff_kc" in vals:
-        recon = ReconstructionConfig(cutoff_kc=vals["cutoff_kc"], **recon_kwargs)
+        recon = ReconstructionConfig(cutoff_kc=vals["cutoff_kc"])
     else:
-        recon = ReconstructionConfig.for_mean_photon(cat.mean_photon, **recon_kwargs)
+        recon = ReconstructionConfig.for_mean_photon(cat.mean_photon)
     noise = None
     if "noise_magnitude" in vals:
         noise = NoiseSpec(

@@ -11,7 +11,7 @@ import numpy as np
 from .circuit import CatSpec, make_cat
 from .errors import InvalidArgument, RegionError
 from .quadrature import QuadratureTable, build_table, default_phases, default_x_grid
-from .tomography import ReconstructionConfig, extend_phases, reconstruct_at
+from .tomography import ReconstructionConfig, extend_phases, reconstruct_at, slice_terms
 from .wigner import WignerGrid, convention_factor
 
 NOISE_MODELS = ("per_slice_multiplicative",)
@@ -243,10 +243,10 @@ def monte_carlo_study(
 ) -> MinimumReport:
     """Reconstruction of W at a probe point under per-slice noise.
 
-    Back projection is linear in the densities, so a run that scales slice i
+    Back projection is a sum of per-slice terms, so a run that scales slice i
     (and its mirror) by 1 + eps_i gives sum_i (1 + eps_i) W_i, where W_i is
-    reconstructed from slice i and its mirror alone. Each W_i is computed
-    once; value is their sum, and each run applies the factors perturb draws.
+    slice i's share (slice_terms). One back-projection pass gives every W_i;
+    value is their sum, and each run applies the factors perturb draws.
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
     """
     scale = convention_factor(convention)
@@ -269,10 +269,7 @@ def monte_carlo_study(
         )
         probe_point = report.location
     u0, v0 = float(probe_point[0]), float(probe_point[1])
-    parts = np.empty(table.phases.size)
-    for i, unit in enumerate(np.eye(parts.size)):
-        single = QuadratureTable(table.phases, table.x_grid, table.density * unit[:, None])
-        parts[i] = float(reconstruct_at(extend_phases(single), u0, v0, recon_config)) * scale
+    parts = slice_terms(table, u0, v0, recon_config) * scale
     clean_value = float(parts.sum())
     factors = np.array([_slice_factors(noise, run, parts.size) for run in range(noise.runs)])
     samples = factors @ parts

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -27,8 +28,6 @@ from scipy.interpolate import CubicSpline
 from .errors import InvalidArgument, SymmetryViolation
 from .quadrature import QuadratureTable, quadrature_distribution, quadrature_wavefunctions
 from .wigner import WignerGrid
-
-FIT_MODELS = ("cubic_spline", "none")
 
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
 # to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
@@ -38,20 +37,19 @@ _MAX_NODES = 1024
 @dataclass(frozen=True)
 class ReconstructionConfig:
     cutoff_kc: float
-    fit_model: str = "cubic_spline"
+    # the slices are always fitted with cubic splines; reports record the name
+    fit_model: ClassVar[str] = "cubic_spline"
 
     def __post_init__(self):
         if not (self.cutoff_kc > 0.0 and math.isfinite(self.cutoff_kc)):
             raise InvalidArgument(f"cutoff_kc must be positive, got {self.cutoff_kc}")
-        if self.fit_model not in FIT_MODELS:
-            raise InvalidArgument(f"unknown fit_model {self.fit_model!r}")
 
     @classmethod
-    def for_mean_photon(cls, mean_photon: float, **kwargs) -> "ReconstructionConfig":
+    def for_mean_photon(cls, mean_photon: float) -> "ReconstructionConfig":
         """Cutoff scaled to the state size: kc = 2 (2 sqrt(nbar) + 4)."""
         if mean_photon < 0.0:
             raise InvalidArgument(f"mean photon number must be >= 0, got {mean_photon}")
-        return cls(cutoff_kc=2.0 * (2.0 * math.sqrt(mean_photon) + 4.0), **kwargs)
+        return cls(cutoff_kc=2.0 * (2.0 * math.sqrt(mean_photon) + 4.0))
 
 
 def filter_kernel(xi, kc: float):
@@ -133,18 +131,6 @@ def extend_phases(
     return out
 
 
-def fit_slices(table: QuadratureTable, fit_model: str = "cubic_spline") -> list:
-    """Per-slice interpolants; both models reproduce the nodes exactly."""
-    if fit_model == "cubic_spline":
-        return [CubicSpline(table.x_grid, row) for row in table.density]
-    if fit_model == "none":
-        return [
-            (lambda xs, row=row, grid=table.x_grid: np.interp(xs, grid, row))
-            for row in table.density
-        ]
-    raise InvalidArgument(f"unknown fit_model {fit_model!r}")
-
-
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w = np.empty_like(x)
     dx = np.diff(x)
@@ -165,7 +151,7 @@ def _phase_weights(phases: np.ndarray) -> np.ndarray:
     return _trapezoid_weights(phases)
 
 
-def _prepare(table: QuadratureTable, config: ReconstructionConfig):
+def _prepare(table: QuadratureTable):
     """Phases, phase weights, the integration grid and the densities on it."""
     phases = table.phases
     if phases[-1] < math.pi / 2 + 1e-9:
@@ -176,13 +162,9 @@ def _prepare(table: QuadratureTable, config: ReconstructionConfig):
     x = table.x_grid
     if not np.allclose(x, -x[::-1], rtol=0, atol=1e-12):
         raise InvalidArgument("x grid must be symmetric about 0")
-    if config.fit_model == "cubic_spline":
-        # evaluate the spline fits on a twice-refined grid before integrating
-        x_fine = np.linspace(x[0], x[-1], 2 * (x.size - 1) + 1)
-        density = CubicSpline(x, table.density, axis=1)(x_fine)
-    else:
-        x_fine = x
-        density = table.density
+    # evaluate the spline fits on a twice-refined grid before integrating
+    x_fine = np.linspace(x[0], x[-1], 2 * (x.size - 1) + 1)
+    density = CubicSpline(x, table.density, axis=1)(x_fine)
     return phases, _phase_weights(phases), x_fine, density
 
 
@@ -219,15 +201,15 @@ def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
     return tables
 
 
-def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """Reconstructed W (phys convention) at arbitrary phase-space points."""
+def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
+    """Each slice's term of W (phys convention): shape (slices,) + point shape."""
     re_arr = np.atleast_1d(np.asarray(re_pts, dtype=np.float64))
     im_arr = np.atleast_1d(np.asarray(im_pts, dtype=np.float64))
     if re_arr.shape != im_arr.shape:
         raise InvalidArgument("re and im point arrays must have the same shape")
     if not (np.all(np.isfinite(re_arr)) and np.all(np.isfinite(im_arr))):
         raise InvalidArgument("reconstruction points must be finite")
-    phases, wph, x_fine, density = _prepare(table, config)
+    phases, wph, x_fine, density = _prepare(table)
     u = re_arr.ravel()
     v = im_arr.ravel()
     kc = config.cutoff_kc
@@ -248,13 +230,37 @@ def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: Reconstructio
     re_part = ((density + mirrored)[:, half:] @ cos_table) * scale
     im_part = ((density - mirrored)[:, half:] @ sin_table) * scale
     # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
-    out = np.zeros(u.shape)
+    terms = np.empty((phases.size, u.size))
     for i, phi in enumerate(phases):
         arg = np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)
-        out += np.cos(arg) @ re_part[i] + np.sin(arg) @ im_part[i]
+        terms[i] = np.cos(arg) @ re_part[i] + np.sin(arg) @ im_part[i]
+    return terms.reshape(phases.shape + re_arr.shape)
+
+
+def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
+    """Reconstructed W (phys convention) at arbitrary phase-space points."""
+    terms = _back_project(table, re_pts, im_pts, config)
+    # slice by slice, in phase order: np.sum would pair the terms differently
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
     if np.isscalar(re_pts) and np.isscalar(im_pts):
         return float(out[0])
-    return out.reshape(re_arr.shape)
+    return out
+
+
+def slice_terms(table: QuadratureTable, u: float, v: float, config: ReconstructionConfig):
+    """Each measured slice's share of W(u, v), its mirror included (phys convention).
+
+    table covers [0, pi/2]; extend_phases appends the mirrors in reverse, so
+    extended slice j folds onto measured slice min(j, n_ext - 1 - j). The
+    shares sum to reconstruct_at(extend_phases(table), u, v, config).
+    """
+    terms = _back_project(extend_phases(table), u, v, config)[:, 0]
+    j = np.arange(terms.size)
+    shares = np.zeros(table.phases.size)
+    np.add.at(shares, np.minimum(j, terms.size - 1 - j), terms)
+    return shares
 
 
 def reconstruct(

@@ -274,9 +274,22 @@ def _assert_one_line_config_error(capsys):
 
 
 def test_phase_extension_is_an_unknown_key(tmp_path, capsys):
-    config = write_config(tmp_path, BASE_CONFIG + "phase_extension = conjugation_symmetry\n")
-    assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert "unknown key 'phase_extension'" in _assert_one_line_config_error(capsys)
+    # fit_model is gone too: the slices are always cubic splines
+    for key, value in (
+        ("phase_extension", "conjugation_symmetry"),
+        ("fit_model", "none"),
+        ("fit_model", "cubic_spline"),
+    ):
+        config = write_config(tmp_path, BASE_CONFIG + f"{key} = {value}\n")
+        assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert f"unknown key {key!r}" in _assert_one_line_config_error(capsys)
+
+
+def test_readme_lists_every_config_key():
+    text = (REPO / "README.md").read_text()
+    block = text.split("Config files are plain", 1)[1].split("```")[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.strip().splitlines()]
+    assert keys == list(_SCHEMA)
 
 
 @pytest.mark.parametrize(
@@ -287,13 +300,48 @@ def test_phase_extension_is_an_unknown_key(tmp_path, capsys):
         "r = 1e5\ntheta = 1.5\nn_max = 50\n",
         "r = 20\ntheta = 1.5\n",  # nbar = 400 fits, its derived n_max 2400 does not
         "r = 2\ntheta = 1.5\nn_max = 100000\n",
+        "r = 2\ntheta = 1.5\nphase_count = 1e12\n",
+        "r = 2\ntheta = 1.5\nphase_count = 1000000000000\n",
+        "r = 2\ntheta = 1.5\nphase_count = 362\n",
+        "r = 2\ntheta = 1.5\nx_step = 1e-9\n",
+        "r = 2\ntheta = 1.5\nx_min = -1e308\nx_max = 1e308\n",  # the span overflows to inf
+        "r = 2\ntheta = 1.5\nx_step = 0.001\nx_min = -10.0\nx_max = 10.001\n",
+        "r = 2\ntheta = 1.5\nwigner_step = 1e-7\n",
+        "r = 2\ntheta = 1.5\nwigner_range = 1e308\nwigner_step = 1e-10\n",
+        "r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 1e12\n",
+        "r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 1000000000000\n",
+        "r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 10001\n",
     ],
-    ids=["r-1e200", "r-1e5", "r-1e5-n_max-50", "r-20", "n_max-1e5"],
+    ids=[
+        "r-1e200", "r-1e5", "r-1e5-n_max-50", "r-20", "n_max-1e5",
+        "phase_count-1e12", "phase_count-10^12", "phase_count-362",
+        "x_step-1e-9", "x_span-inf", "x_points-20002",
+        "wigner_step-1e-7", "wigner_axis-inf",
+        "noise_runs-1e12", "noise_runs-10^12", "noise_runs-10001",
+    ],
 )
 def test_oversized_state_exits_2(tmp_path, capsys, text):
     config = write_config(tmp_path, text)
     assert main(["cat-state", "--config", str(config), "--out", str(tmp_path)]) == 2
     _assert_one_line_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "text,x_points",
+    [
+        ("r = 12.88\ntheta = 1.5\n", 3601),  # nbar 165.9, the derived n_max 996
+        (BASE_CONFIG + "x_step = 0.001\n", 12001),
+        (BASE_CONFIG + "x_step = 0.001\nx_min = -10.0\nx_max = 10.0\n", 20001),
+        (BASE_CONFIG + "phase_count = 181\n", 1201),
+        (BASE_CONFIG + "phase_count = 361\n", 1201),
+        (BASE_CONFIG + "wigner_step = 0.005\n", 1201),
+        (BASE_CONFIG + "wigner_range = 10.0\nwigner_step = 0.005\n", 1201),
+        (BASE_CONFIG + "noise_magnitude = 0.25\nnoise_runs = 10000\n", 1201),
+    ],
+)
+def test_large_grids_within_the_limits_parse(tmp_path, text, x_points):
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.x_grid().size == x_points
 
 
 _NUMBERS = st.one_of(

@@ -261,20 +261,22 @@ def test_monte_carlo_matches_explicit_perturbed_reconstructions(theta, probe, ma
 
 
 def test_monte_carlo_reconstructs_once_per_slice(monkeypatch):
-    import catscan.experiment as experiment_module
+    """One back-projection pass gives every slice's share, whatever the run count."""
+    import catscan.tomography as tomography_module
 
     calls = []
+    back_project = tomography_module._back_project
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return reconstruct_at(*args, **kwargs)
+        return back_project(*args, **kwargs)
 
-    monkeypatch.setattr(experiment_module, "reconstruct_at", counting)
+    monkeypatch.setattr(tomography_module, "_back_project", counting)
     spec = CatSpec(SQRT5, math.pi / 2)
     for runs in (1, 30):
         calls.clear()
         monte_carlo_study(spec, NoiseSpec(0.25, runs, seed=8), probe_point=(0.3346, 0.0))
-        assert len(calls) == default_phases().size
+        assert len(calls) == 1
 
 
 def test_monte_carlo_single_run_has_zero_stddev():

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import catscan.tomography as tomography_module
 
@@ -20,10 +23,10 @@ from catscan import (
     extend_phases,
     filter_kernel,
     filter_kernel_numeric,
-    fit_slices,
     make_cat,
     reconstruct,
     reconstruct_at,
+    slice_terms,
     vacuum,
     wigner_superposition,
 )
@@ -36,8 +39,6 @@ TWO_OVER_PI = 2.0 / math.pi
 def test_config_validation():
     with pytest.raises(InvalidArgument):
         ReconstructionConfig(cutoff_kc=0.0)
-    with pytest.raises(InvalidArgument):
-        ReconstructionConfig(cutoff_kc=8.0, fit_model="quintic")
 
 
 def test_config_for_mean_photon():
@@ -109,17 +110,6 @@ def test_extend_phases_flags_asymmetric_state():
         extend_phases(table, verify_state=state)
 
 
-def test_fit_slices_reproduce_nodes():
-    state = make_cat(CatSpec(SQRT5, 0.2), 50)
-    table = build_table(state, default_phases(5), default_x_grid(5.0))
-    for model in ("cubic_spline", "none"):
-        fits = fit_slices(table, model)
-        for i, fit in enumerate(fits):
-            assert np.max(np.abs(fit(table.x_grid) - table.density[i])) < 1e-12
-    with pytest.raises(InvalidArgument):
-        fit_slices(table, "fourier")
-
-
 def test_reconstruct_requires_extended_phases():
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 50)
     table = build_table(state, default_phases(11), default_x_grid(5.0))
@@ -161,6 +151,53 @@ def test_coherent_reconstruction_peak_and_negativity():
     assert abs(peak / TWO_OVER_PI - 1.0) < 0.01
     # ringing from the frequency cutoff stays below 2% of the peak
     assert grid.values.min() > -0.02 * peak
+
+
+def _scale_rows(table, factors):
+    return QuadratureTable(table.phases, table.x_grid, table.density * np.asarray(factors)[:, None])
+
+
+# 21, 16 and 11 extended slices: pi/2 measured (no mirror of its own) or not
+@pytest.mark.parametrize(
+    "phases",
+    [default_phases(), np.linspace(0.0, 1.4, 8), np.linspace(0.1, math.pi / 2, 6)],
+    ids=["default", "to-1.4", "from-0.1"],
+)
+def test_slice_terms_are_single_slice_reconstructions(phases):
+    state = make_cat(CatSpec(SQRT5, 1.11), 50)
+    table = build_table(state, phases, default_x_grid(5.0))
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    for u, v in ((0.3346, 0.0), (-1.2, 0.7), (2.0, -1.5)):
+        shares = slice_terms(table, u, v, cfg)
+        # slice i alone: every other row zeroed
+        single = [
+            reconstruct_at(extend_phases(_scale_rows(table, unit)), u, v, cfg)
+            for unit in np.eye(phases.size)
+        ]
+        assert shares == pytest.approx(single, rel=1e-13, abs=1e-13 * np.max(np.abs(shares)))
+        full = reconstruct_at(extend_phases(table), u, v, cfg)
+        assert shares.sum() == pytest.approx(full, rel=1e-13)
+
+
+THETA111_TABLE = build_table(
+    make_cat(CatSpec(SQRT5, 1.11), 50), default_phases(), default_x_grid(5.0)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    i=st.integers(min_value=0, max_value=10),
+    c=st.floats(min_value=0.01, max_value=100.0),
+    u=st.floats(min_value=-3.0, max_value=3.0),
+    v=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_scaling_one_slice_scales_its_share_alone(i, c, u, v):
+    """A share can cancel to near zero, so rounding is measured against the largest."""
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    base = slice_terms(THETA111_TABLE, u, v, cfg)
+    factors = np.where(np.arange(base.size) == i, c, 1.0)
+    scaled = slice_terms(_scale_rows(THETA111_TABLE, factors), u, v, cfg)
+    assert np.max(np.abs(scaled - factors * base)) <= 1e-12 * np.max(np.abs(factors * base))
 
 
 def test_reconstruction_linear_in_density():
@@ -214,13 +251,6 @@ def test_dense_reconstruct_matches_pointwise():
             )
 
 
-def test_fit_model_none_still_reconstructs():
-    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
-    cfg = ReconstructionConfig(cutoff_kc=8.0, fit_model="none")
-    peak = reconstruct_at(table, 0.0, 0.0, cfg)
-    assert abs(peak / TWO_OVER_PI - 1.0) < 0.01
-
-
 def _explicit_back_projection(table, u, v, kc, x_nodes, density):
     """The filter_kernel sum over slices and x nodes, trapezoid in both."""
     rows = []
@@ -230,16 +260,12 @@ def _explicit_back_projection(table, u, v, kc, x_nodes, density):
     return np.trapezoid(rows, table.phases) / (4.0 * math.pi**2)
 
 
-@pytest.mark.parametrize("fit_model", ["cubic_spline", "none"])
-def test_engine_matches_explicit_kernel_sum(fit_model):
+def test_engine_matches_explicit_kernel_sum():
     state = make_cat(CatSpec(SQRT5, 1.11), 50)
     table = extend_phases(build_table(state, default_phases(7), np.linspace(-6.0, 6.0, 241)))
-    cfg = ReconstructionConfig(cutoff_kc=12.0, fit_model=fit_model)
-    if fit_model == "cubic_spline":
-        x_nodes = np.linspace(-6.0, 6.0, 481)
-        density = np.array([fit(x_nodes) for fit in fit_slices(table)])
-    else:
-        x_nodes, density = table.x_grid, table.density
+    cfg = ReconstructionConfig(cutoff_kc=12.0)
+    x_nodes = np.linspace(-6.0, 6.0, 481)
+    density = np.array([CubicSpline(table.x_grid, row)(x_nodes) for row in table.density])
     pts_u = np.array([0.0, 0.35, 1.2, -2.0, 2.2])
     pts_v = np.array([0.0, 0.1, -0.4, 1.5, 0.0])
     got = reconstruct_at(table, pts_u, pts_v, cfg)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catscan import (
     CatSpec,
@@ -43,13 +45,21 @@ def test_coherent_wigner_is_shifted_gaussian():
     assert np.max(np.abs(got - want)) < 1e-14
 
 
-def test_cat_normalization_integral():
-    # integral of W_phys over the plane is 1
-    terms = cat_wigner_terms(CatSpec(SQRT5, math.pi / 2))
-    axis = np.arange(-6.0, 6.0 + 0.02, 0.02)
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(min_value=0.3, max_value=3.2),
+    theta=st.floats(min_value=0.05, max_value=math.pi / 2),
+    sign=st.sampled_from(["plus", "minus"]),
+)
+def test_cat_normalization_integral(r, theta, sign):
+    # W_phys integrates to 1 over the plane and is bounded by 2/pi; the
+    # square reaches 4 past every branch, where W is below 1e-13
+    terms = cat_wigner_terms(CatSpec(r, theta, sign))
+    axis = np.arange(-r - 4.0, r + 4.0 + 0.025, 0.05)
     grid = evaluate_grid(terms, axis, axis)
     total = np.trapezoid(np.trapezoid(grid.values, axis, axis=1), axis)
-    assert abs(total - 1.0) < 1e-4
+    assert abs(total - 1.0) < 1e-9
+    assert np.max(np.abs(grid.values)) <= TWO_OVER_PI * (1.0 + 1e-12)
 
 
 def test_zero_norm_superposition_rejected():
