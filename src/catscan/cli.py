@@ -18,7 +18,14 @@ from .errors import (
     SymmetryViolation,
     TruncationError,
 )
-from .experiment import N_MAX_LIMIT, NoiseSpec, default_n_max, find_minimum, monte_carlo_study
+from .experiment import (
+    N_MAX_LIMIT,
+    SCAN_STEP,
+    NoiseSpec,
+    default_n_max,
+    find_minimum,
+    monte_carlo_study,
+)
 from .fock import mean_photon_number, vacuum
 from .quadrature import QuadratureTable, build_table, default_phases, default_x_grid
 from .tomography import (
@@ -53,6 +60,9 @@ PHASE_COUNT_LIMIT = 361
 NOISE_RUNS_LIMIT = 10_000
 # 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
 WIGNER_AXIS_LIMIT = 4_001
+# reconstruct scans its search region at SCAN_STEP: 40,401 points is a
+# 1 x 1 window, or a span of 202 on one axis.
+SEARCH_POINT_LIMIT = 40_401
 
 
 def _check_grid_size(name: str, points: float, limit: int) -> None:
@@ -99,6 +109,11 @@ class ExperimentConfig:
             raise InvalidArgument("wigner grid spec requires positive range and step")
         axis_points = 2.0 * self.wigner_range / self.wigner_step + 1.0
         _check_grid_size("wigner grid axis", axis_points, WIGNER_AXIS_LIMIT)
+        # only reconstruct scans the region, and find_minimum rejects a degenerate one
+        (re_lo, re_hi), (im_lo, im_hi) = self.search_region
+        re_points = max(re_hi - re_lo, 0.0) / SCAN_STEP + 1.0
+        im_points = max(im_hi - im_lo, 0.0) / SCAN_STEP + 1.0
+        _check_grid_size("search region scan", re_points * im_points, SEARCH_POINT_LIMIT)
 
     def x_grid(self) -> np.ndarray:
         lo = round(self.x_min / self.x_step)
@@ -176,6 +191,8 @@ def parse_config(path) -> ExperimentConfig:
     else:
         recon = ReconstructionConfig.for_mean_photon(cat.mean_photon)
     noise = None
+    if "noise_magnitude" not in vals and ("noise_runs" in vals or "noise_seed" in vals):
+        raise InvalidArgument(f"{path}: noise_runs and noise_seed need noise_magnitude")
     if "noise_magnitude" in vals:
         noise = NoiseSpec(
             magnitude=vals["noise_magnitude"],
@@ -339,10 +356,8 @@ def _cmd_verify(args) -> int:
         worst = max(worst, abs(a - b))
     checks.append(("closed form vs displaced parity (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
-    kc = 12.0
-    worst = 0.0
-    for xi in np.linspace(-3.0, 3.0, 20):
-        worst = max(worst, abs(filter_kernel(xi, kc) - filter_kernel_numeric(xi, kc)))
+    xi = np.linspace(-3.0, 3.0, 20)
+    worst = float(np.max(np.abs(filter_kernel(xi, 12.0) - filter_kernel_numeric(xi, 12.0))))
     checks.append(("filter kernel closed vs numeric (20 pts)", worst < 1e-8, f"max diff {worst:.2e}"))
 
     vac = vacuum(20)

@@ -20,6 +20,8 @@ REPORT_SCHEMA = "catscan/minimum-report/1"
 # Largest Fock truncation a config may ask for, and so the largest mean photon
 # number: the quadrature wavefunction table is ~60 MB here on the default grid.
 N_MAX_LIMIT = 1000
+# find_minimum's default scan step
+SCAN_STEP = 0.005
 
 
 def default_n_max(mean_photon: float) -> int:
@@ -100,7 +102,7 @@ class MinimumReport:
             "seed": self.seed,
             "config": self.config,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
@@ -146,7 +148,7 @@ def find_minimum(
     mode: str = "global",
     near: tuple[float, float] | None = None,
     local_radius: float = 0.12,
-    step: float = 0.005,
+    step: float = SCAN_STEP,
     convention: str = "phys",
 ) -> MinimumReport:
     """Locate a Wigner minimum by dense scan plus parabolic refinement.

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, InvalidArgument, TruncationError, ZeroNorm
 
@@ -122,7 +121,7 @@ def _displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     for n in range(1, dim - 1):
         lag[n + 1] = ((2 * n + 1 + k - x) * lag[n] - (n + k) * lag[n - 1]) / (n + 1)
 
-    lg = gammaln(np.arange(dim + 1, dtype=np.float64) + 1.0)
+    lg = np.array([math.lgamma(n + 1.0) for n in range(dim + 1)])
     phase = np.exp(1j * np.angle(alpha))
     D = np.zeros((dim, dim), dtype=np.complex128)
     log_abs_alpha = math.log(abs(alpha))

@@ -148,7 +148,8 @@ def build_table(
     phases = np.asarray(phases, dtype=np.float64)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     h = quadrature_wavefunctions(state.n_max, x_grid)
-    rows = np.vstack(
-        [quadrature_distribution(state, phi, x_grid, wavefunctions=h) for phi in phases]
-    )
+    # the quadrature_distribution of every phase, as two real products
+    n = np.arange(state.n_max + 1)
+    rotated = state.amplitudes * np.exp(-1j * np.multiply.outer(phases, n))
+    rows = (rotated.real @ h) ** 2 + (rotated.imag @ h) ** 2
     return QuadratureTable(phases, x_grid, rows)

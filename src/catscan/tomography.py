@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidArgument, SymmetryViolation
 from .quadrature import QuadratureTable, quadrature_distribution, quadrature_wavefunctions
@@ -32,6 +31,9 @@ from .wigner import WignerGrid
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
 # to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
 _MAX_NODES = 1024
+# Rows of the back-projection tables this many nodes from the ends of the x
+# grid are exact to rounding in their interior form, (2 - sqrt 3)^32 ~ 5e-19.
+_SPLINE_EDGE = 32
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,25 @@ def filter_kernel(xi, kc: float):
     return out
 
 
-def filter_kernel_numeric(xi: float, kc: float) -> float:
-    """Direct quadrature of the kernel integral, for cross-checking."""
-    from scipy.integrate import quad
+def filter_kernel_numeric(xi, kc: float):
+    """Direct Gauss-Legendre quadrature of the kernel integral, for cross-checking.
 
-    val, _ = quad(lambda k: 2.0 * k * math.cos(k * xi), 0.0, kc, limit=400)
-    return val
+    One rule serves every xi. It has kc max|xi| + 64 nodes, about four times
+    what _node_count asks for the same integrand, so it does not share the
+    engine's node budget.
+    """
+    if not (kc > 0.0 and math.isfinite(kc)):
+        raise InvalidArgument(f"cutoff kc must be positive, got {kc}")
+    xi_arr = np.asarray(xi, dtype=np.float64)
+    omega = kc * float(np.max(np.abs(xi_arr), initial=0.0))
+    if not omega <= 4.0 * _MAX_NODES:
+        raise InvalidArgument(f"kc * max|xi| = {omega:.4g} exceeds {4 * _MAX_NODES}")
+    nodes, weights = np.polynomial.legendre.leggauss(math.ceil(omega) + 64)
+    k = 0.5 * kc * (nodes + 1.0)
+    out = np.cos(np.multiply.outer(xi_arr, k)) @ (kc * weights * k)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def extend_phases(
@@ -151,23 +166,6 @@ def _phase_weights(phases: np.ndarray) -> np.ndarray:
     return _trapezoid_weights(phases)
 
 
-def _prepare(table: QuadratureTable):
-    """Phases, phase weights, the integration grid and the densities on it."""
-    phases = table.phases
-    if phases[-1] < math.pi / 2 + 1e-9:
-        raise InvalidArgument(
-            f"phases only cover [0, {phases[-1]:.4f}]; reconstruction needs "
-            f"coverage of [0, pi] (run extend_phases first)"
-        )
-    x = table.x_grid
-    if not np.allclose(x, -x[::-1], rtol=0, atol=1e-12):
-        raise InvalidArgument("x grid must be symmetric about 0")
-    # evaluate the spline fits on a twice-refined grid before integrating
-    x_fine = np.linspace(x[0], x[-1], 2 * (x.size - 1) + 1)
-    density = CubicSpline(x, table.density, axis=1)(x_fine)
-    return phases, _phase_weights(phases), x_fine, density
-
-
 def _node_count(omega: float) -> int:
     """Gauss-Legendre nodes that integrate 2 k cos(k xi) over [0, kc] to rounding.
 
@@ -178,24 +176,72 @@ def _node_count(omega: float) -> int:
     return math.ceil(omega / 4.0 + 5.0 * omega ** (1.0 / 3.0)) + 2
 
 
+def _spline_matrix(n: int) -> np.ndarray:
+    """S, mapping values y on n uniform nodes to their not-a-knot cubic spline
+    on the 2n - 1 nodes and midpoints, in order.
+
+    With step h the slopes solve A s = B y / h, with rows
+        s[0] + 2 s[1] = (-5 y[0] + 4 y[1] + y[2]) / 2h
+        s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h
+        2 s[n-2] + s[n-1] = (-y[n-3] - 4 y[n-2] + 5 y[n-1]) / 2h
+    and a midpoint value is (y[i] + y[i+1]) / 2 + h (s[i] - s[i+1]) / 8, so
+    h cancels.
+    """
+    eye = np.eye(n)
+    a = 4.0 * eye + np.eye(n, k=1) + np.eye(n, k=-1)
+    a[0, :2] = (1.0, 2.0)
+    a[-1, -2:] = (2.0, 1.0)
+    b = 3.0 * (np.eye(n, k=1) - np.eye(n, k=-1))
+    b[0, :3] = (-2.5, 2.0, 0.5)
+    b[-1, -3:] = (-0.5, -2.0, 2.5)
+    h_slopes = np.linalg.solve(a, b)
+    out = np.empty((2 * n - 1, n))
+    out[::2] = eye
+    out[1::2] = (eye[:-1] + eye[1:]) / 2.0 + (h_slopes[:-1] - h_slopes[1:]) / 8.0
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
     """k nodes, their weights 2 k w_k, and the x >= 0 cos/sin tables.
 
-    The grid is symmetric, so P(k) = sum_x w_x p(x) exp(i k x) folds onto
-    x >= 0: cos pairs with p(x) + p(-x) and sin with p(x) - p(-x). An x = 0
-    node appears twice in the even fold, so its weight is halved.
+    P(k) integrates the slice's cubic spline by the trapezoid rule on the
+    grid refined by its midpoints. Both steps are linear in the density, so
+    the tables are S^T (w_fine cos(k x_fine)) and likewise for sin, on the
+    measured x nodes. On a symmetric uniform grid the not-a-knot spline
+    commutes with x -> -x, so the cos table is even and the sin table odd,
+    and P(k) folds onto x >= 0: cos pairs with p(x) + p(-x) and sin with
+    p(x) - p(-x). An x = 0 node appears twice in the even fold, so its row
+    is halved.
+
+    Away from the grid ends S^T turns the weighted exp(i k x_fine) into
+    h f(k h) exp(i k x) on the nodes (see _spline_matrix for S). With t = k h,
+    the node itself brings 1/2, the midpoint averages cos(t/2) / 2, and the
+    slope terms, through the interior rows of A and B, bring
+    3 sin(t) sin(t/2) / (16 + 8 cos t). The ends perturb a row d nodes in by
+    about (2 - sqrt 3)^d, so the last _SPLINE_EDGE rows come from S itself,
+    built on the last 2 _SPLINE_EDGE nodes (or on the whole grid if shorter).
     """
     x = np.frombuffer(x_bytes)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     k = 0.5 * kc * (nodes + 1.0)
     k_weights = kc * weights * k
-    half = x.size // 2
-    wx = _trapezoid_weights(x)[half:]
+    h = (x[-1] - x[0]) / (x.size - 1)
+    t = k * h
+    factor = h * (
+        (1.0 + np.cos(t / 2.0)) / 2.0 + 3.0 * np.sin(t) * np.sin(t / 2.0) / (16.0 + 8.0 * np.cos(t))
+    )
+    arg = np.outer(x[x.size // 2 :], k)
+    folded = np.hstack([np.cos(arg) * factor, np.sin(arg) * factor])
+    edge = x[-2 * _SPLINE_EDGE :]
+    x_fine = np.linspace(edge[0], edge[-1], 2 * edge.size - 1)
+    arg = np.outer(x_fine, k)
+    fine = _trapezoid_weights(x_fine)[:, None] * np.hstack([np.cos(arg), np.sin(arg)])
+    rows = folded.shape[0] if edge.size == x.size else _SPLINE_EDGE
+    folded[-rows:] = (_spline_matrix(edge.size).T @ fine)[-rows:]
     if x.size % 2:
-        wx[0] *= 0.5
-    arg = np.outer(x[half:], k)
-    tables = (k, k_weights, wx[:, None] * np.cos(arg), wx[:, None] * np.sin(arg))
+        folded[0, :n_nodes] *= 0.5
+    tables = (k, k_weights, folded[:, :n_nodes], folded[:, n_nodes:])
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -209,12 +255,24 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
         raise InvalidArgument("re and im point arrays must have the same shape")
     if not (np.all(np.isfinite(re_arr)) and np.all(np.isfinite(im_arr))):
         raise InvalidArgument("reconstruction points must be finite")
-    phases, wph, x_fine, density = _prepare(table)
+    phases, x, density = table.phases, table.x_grid, table.density
+    if phases[-1] < math.pi / 2 + 1e-9:
+        raise InvalidArgument(
+            f"phases only cover [0, {phases[-1]:.4f}]; reconstruction needs "
+            f"coverage of [0, pi] (run extend_phases first)"
+        )
+    if x.size < 4:
+        raise InvalidArgument(f"x grid needs at least 4 points, got {x.size}")
+    if not np.allclose(x, -x[::-1], rtol=0, atol=1e-12):
+        raise InvalidArgument("x grid must be symmetric about 0")
+    steps = np.diff(x)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+        raise InvalidArgument("x grid must be uniform")
     u = re_arr.ravel()
     v = im_arr.ravel()
     kc = config.cutoff_kc
     reach = float(np.max(np.hypot(u, v), initial=0.0))
-    omega = kc * (float(x_fine[-1]) + reach)
+    omega = kc * (float(x[-1]) + reach)
     # _node_count(omega) > omega / 4, so the bound also keeps an overflowed
     # reach (inf) away from math.ceil
     n_nodes = _node_count(omega) if omega < 4.0 * _MAX_NODES else math.inf
@@ -223,10 +281,10 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
             f"cutoff_kc * (max|x| + max|(u, v)|) = {omega:.4g} needs more than "
             f"{_MAX_NODES} k nodes; lower the cutoff or the point range"
         )
-    k, k_weights, cos_table, sin_table = _node_tables(x_fine.tobytes(), kc, n_nodes)
-    half = x_fine.size // 2
+    k, k_weights, cos_table, sin_table = _node_tables(x.tobytes(), kc, n_nodes)
+    half = x.size // 2
     mirrored = density[:, ::-1]
-    scale = wph[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
+    scale = _phase_weights(phases)[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
     re_part = ((density + mirrored)[:, half:] @ cos_table) * scale
     im_part = ((density - mirrored)[:, half:] @ sin_table) * scale
     # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)

@@ -323,3 +323,10 @@ def test_monte_carlo_mean_is_unbiased():
     noise = NoiseSpec(magnitude=0.25, runs=50, seed=31415)
     report = monte_carlo_study(spec, noise, probe_point=(0.3346, 0.0))
     assert abs(report.mean - report.value) <= report.stddev
+
+
+def test_report_json_rejects_non_finite_values():
+    for bad in (math.nan, math.inf):
+        report = MinimumReport((0.3, 0.0), bad, -3.0, 0.1, "paper")
+        with pytest.raises(ValueError):
+            report.to_json()

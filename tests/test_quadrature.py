@@ -122,6 +122,17 @@ def test_build_table_shape_and_defaults():
     assert np.all(table.density >= 0.0)
 
 
+def test_build_table_rows_are_quadrature_distributions():
+    # the phase-batched products against one distribution per phase
+    state = make_cat(CatSpec(SQRT5, 1.11, "minus"), 50)
+    phases = np.linspace(0.0, math.pi, 13)
+    x = default_x_grid(5.0)
+    table = build_table(state, phases, x)
+    for phi, row in zip(phases, table.density):
+        want = quadrature_distribution(state, phi, x)
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(want)
+
+
 def test_table_csv_roundtrip_bit_identical(tmp_path):
     state = make_cat(CatSpec(SQRT5, 0.2), 50)
     table = build_table(state, default_phases(5), np.linspace(-4.0, 4.0, 161))

@@ -315,3 +315,70 @@ def test_reconstruct_rejects_node_count_past_limit():
             reconstruct_at(table, u, u, ReconstructionConfig(cutoff_kc=8.0))
     with pytest.raises(InvalidArgument):
         reconstruct_at(table, 0.0, 0.0, ReconstructionConfig(cutoff_kc=1.0e5))
+
+
+def _fine_grid(x):
+    """x and its midpoints, with their trapezoid weights."""
+    x_fine = np.linspace(x[0], x[-1], 2 * x.size - 1)
+    w_fine = np.full(x_fine.size, x_fine[1] - x_fine[0])
+    w_fine[[0, -1]] *= 0.5
+    return x_fine, w_fine
+
+
+def _spline_trapezoid_terms(table, u, v, kc):
+    """Per-slice terms with each slice's CubicSpline summed on the refined grid."""
+    x = table.x_grid
+    x_fine, w_fine = _fine_grid(x)
+    fine = CubicSpline(x, table.density, axis=1)(x_fine)
+    n_nodes = tomography_module._node_count(kc * (x[-1] + np.max(np.hypot(u, v))))
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    k = 0.5 * kc * (nodes + 1.0)
+    char = (fine * w_fine) @ np.exp(1j * np.multiply.outer(x_fine, k))
+    phases = table.phases
+    w_phase = np.full(phases.size, phases[1] - phases[0])
+    w_phase[[0, -1]] *= 0.5
+    s = np.multiply.outer(np.cos(phases), u) + np.multiply.outer(np.sin(phases), v)
+    phase_factor = np.exp(-1j * np.multiply.outer(s, k))
+    sums = np.einsum("im,ipm->ip", char * (kc * weights * k), phase_factor).real
+    return w_phase[:, None] * sums / (4.0 * math.pi**2)
+
+
+# odd and even point counts; 41 and 40 fit inside the 2 x 32 end rows
+@pytest.mark.parametrize("n", [241, 240, 41, 40])
+def test_back_project_matches_spline_trapezoid_sum(n):
+    rng = np.random.default_rng(n)
+    x = np.linspace(-6.0, 6.0, n)
+    phases = np.linspace(0.0, math.pi, 9)
+    table = QuadratureTable(phases, x, rng.uniform(0.0, 1.0, (phases.size, n)))
+    u, v = rng.uniform(-2.5, 2.5, (2, 6))
+    got = tomography_module._back_project(table, u, v, ReconstructionConfig(cutoff_kc=12.0))
+    want = _spline_trapezoid_terms(table, u, v, 12.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [201, 200, 41, 40, 9, 8, 5, 4])
+def test_node_tables_fold_the_even_and_odd_spline_tables(n):
+    x = np.linspace(-6.0, 6.0, n)
+    k, _, cos_table, sin_table = tomography_module._node_tables(x.tobytes(), 12.0, 40)
+    x_fine, w_fine = _fine_grid(x)
+    spline = CubicSpline(x, np.eye(n))(x_fine)
+    arg = np.multiply.outer(x_fine, k)
+    full_cos = spline.T @ (w_fine[:, None] * np.cos(arg))
+    full_sin = spline.T @ (w_fine[:, None] * np.sin(arg))
+    scale = np.max(np.abs(full_cos))
+    # the not-a-knot spline commutes with x -> -x, which is what the fold needs
+    assert np.max(np.abs(full_cos - full_cos[::-1])) <= 1e-13 * scale
+    assert np.max(np.abs(full_sin + full_sin[::-1])) <= 1e-13 * scale
+    want_cos = full_cos[n // 2 :].copy()
+    if n % 2:
+        want_cos[0] *= 0.5  # x = 0 enters the even fold twice
+    assert np.max(np.abs(cos_table - want_cos)) <= 1e-13 * scale
+    assert np.max(np.abs(sin_table - full_sin[n // 2 :])) <= 1e-13 * scale
+
+
+def test_reconstruct_rejects_non_uniform_or_tiny_x_grid():
+    cfg = ReconstructionConfig(cutoff_kc=8.0)
+    for x in (np.sinh(np.linspace(-2.5, 2.5, 401)), np.array([-0.01, 0.0, 0.01])):
+        table = extend_phases(build_table(vacuum(20), default_phases(11), x))
+        with pytest.raises(InvalidArgument):
+            reconstruct_at(table, 0.0, 0.0, cfg)
