@@ -11,13 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import BellState, CatSpec, bell_state, diagonal_basis_amplitudes, make_cat, make_ghz
-from .errors import (
-    CatscanError,
-    InvalidArgument,
-    RegionError,
-    SymmetryViolation,
-    TruncationError,
-)
+from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
 from .experiment import (
     N_MAX_LIMIT,
     SCAN_STEP,
@@ -36,10 +30,10 @@ from .tomography import (
     reconstruct_at,
 )
 from .wigner import (
+    CONVENTIONS,
     PAPER_SCALE,
     calibrate_display_scale,
     cat_wigner_terms,
-    convention_factor,
     evaluate_grid,
     wigner_displaced_parity,
     wigner_superposition,
@@ -47,7 +41,6 @@ from .wigner import (
 
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
-EXIT_SYMMETRY = 4
 EXIT_REGION = 5
 EXIT_OTHER = 6
 
@@ -384,8 +377,15 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else EXIT_OTHER
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line instead of the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: usage: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catscan",
         description="Conditional cat-state generation, homodyne tomography, noise studies.",
     )
@@ -393,29 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text, needs_config=True):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, needs_config=needs_config)
+        p.set_defaults(func=func)
         if needs_config:
             p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        return p
+
+    def add_convention(p, default):
         p.add_argument(
             "--convention",
-            choices=["phys", "paper"],
-            default="phys",
-            help="Wigner normalization for emitted values",
+            choices=CONVENTIONS,
+            default=default,
+            help=f"Wigner normalization for emitted values (default: {default})",
         )
-        return p
 
     add("cat-state", _cmd_cat_state, "print cat Fock amplitudes, norm, mean photon number")
     ghz = add("ghz", _cmd_ghz, "print the three-photon state and correlation checks", needs_config=False)
     ghz.add_argument("bell_input", help="phi-plus | phi-minus | psi-plus | psi-minus")
     add("quadrature", _cmd_quadrature, "emit the quadrature distribution CSV")
-    add("wigner-oracle", _cmd_wigner_oracle, "emit a dense closed-form Wigner CSV")
-    p_rec = add("reconstruct", _cmd_reconstruct, "clean tomography plus minimum JSON")
-    p_rec.set_defaults(convention="paper")
+    add_convention(add("wigner-oracle", _cmd_wigner_oracle, "emit a dense closed-form Wigner CSV"), "phys")
+    add_convention(add("reconstruct", _cmd_reconstruct, "clean tomography plus minimum JSON"), "paper")
     p_noise = add("noise-study", _cmd_noise_study, "Monte Carlo noise JSON")
-    p_noise.set_defaults(convention="paper")
-    add("verify", _cmd_verify, "run oracle cross-checks and the scale calibration", needs_config=False)
+    p_noise.add_argument("--seed", type=int, default=None, help="override the config's noise_seed")
+    add_convention(p_noise, "paper")
+    p_verify = add("verify", _cmd_verify, "run oracle cross-checks and the scale calibration", needs_config=False)
+    p_verify.add_argument("--seed", type=int, default=None, help="seed of the random check points")
     return parser
 
 
@@ -423,9 +425,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "needs_config", False):
+        if hasattr(args, "config"):
             args.config_data = parse_config(args.config)
-        convention_factor(args.convention)
         return args.func(args)
     except InvalidArgument as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
@@ -433,9 +434,6 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"error: truncation: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except SymmetryViolation as exc:
-        print(f"error: symmetry violation: {exc}", file=sys.stderr)
-        return EXIT_SYMMETRY
     except RegionError as exc:
         print(f"error: search region: {exc}", file=sys.stderr)
         return EXIT_REGION

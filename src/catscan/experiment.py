@@ -12,10 +12,9 @@ from .circuit import CatSpec, make_cat
 from .errors import InvalidArgument, RegionError
 from .quadrature import QuadratureTable, build_table, default_phases, default_x_grid
 from .tomography import ReconstructionConfig, extend_phases, reconstruct_at, slice_terms
-from .wigner import WignerGrid, convention_factor
+from .wigner import convention_factor
 
 NOISE_MODELS = ("per_slice_multiplicative",)
-SEARCH_MODES = ("global", "local")
 REPORT_SCHEMA = "catscan/minimum-report/1"
 # Largest Fock truncation a config may ask for, and so the largest mean photon
 # number: the quadrature wavefunction table is ~60 MB here on the default grid.
@@ -132,67 +131,39 @@ class MinimumReport:
         )
 
 
-def _parabola_refine(f0: float, f1: float, f2: float, h: float):
-    """Vertex offset and value drop of the parabola through three points."""
+def _parabola_refine(f0: float, f1: float, f2: float, h: float) -> float:
+    """Vertex offset of the parabola through three equally spaced points."""
     denom = f0 - 2.0 * f1 + f2
     if denom <= 0.0:
-        return 0.0, 0.0
-    shift = 0.5 * h * (f0 - f2) / denom
-    drop = (f0 - f2) ** 2 / (8.0 * denom)
-    return shift, drop
+        return 0.0
+    return 0.5 * h * (f0 - f2) / denom
 
 
 def find_minimum(
     target,
     search_region,
-    mode: str = "global",
-    near: tuple[float, float] | None = None,
-    local_radius: float = 0.12,
     step: float = SCAN_STEP,
     convention: str = "phys",
 ) -> MinimumReport:
     """Locate a Wigner minimum by dense scan plus parabolic refinement.
 
-    target is either a WignerGrid or a callable f(u_array, v_array) -> array
-    in phys convention. mode "global" scans the whole region; mode "local"
-    scans the window of local_radius around near. RegionError is raised when
-    the scan minimum sits on the window boundary, since the quadratic
-    refinement (and the minimum itself) is then unconstrained.
+    target is a callable f(u_array, v_array) -> array in phys convention,
+    scanned over the whole region; a caller after a local minimum passes the
+    window around it as the region. RegionError is raised when the scan
+    minimum sits on the region boundary, since the quadratic refinement (and
+    the minimum itself) is then unconstrained.
     """
-    if mode not in SEARCH_MODES:
-        raise InvalidArgument(f"unknown mode {mode!r}")
-    if mode == "local" and near is None:
-        raise InvalidArgument("mode 'local' requires a near=(u, v) point")
     if step > 0.01:
         raise InvalidArgument(f"scan step must be <= 0.01, got {step}")
     (re_lo, re_hi), (im_lo, im_hi) = search_region
     if not (re_hi > re_lo and im_hi >= im_lo):
         raise InvalidArgument(f"degenerate search region {search_region!r}")
-    if mode == "local":
-        re_lo = max(re_lo, near[0] - local_radius)
-        re_hi = min(re_hi, near[0] + local_radius)
-        im_lo = max(im_lo, near[1] - local_radius)
-        im_hi = min(im_hi, near[1] + local_radius)
-        if re_hi <= re_lo or im_hi < im_lo:
-            raise InvalidArgument("local window does not intersect the region")
 
-    if isinstance(target, WignerGrid):
-        in_scale = convention_factor(target.convention)
-        sel_u = (target.re_axis >= re_lo - 1e-12) & (target.re_axis <= re_hi + 1e-12)
-        sel_v = (target.im_axis >= im_lo - 1e-12) & (target.im_axis <= im_hi + 1e-12)
-        us = target.re_axis[sel_u]
-        vs = target.im_axis[sel_v]
-        if us.size < 3 or vs.size < 1:
-            raise InvalidArgument("grid has too few nodes inside the region")
-        vals = target.values[np.ix_(sel_u, sel_v)] / in_scale
-        evaluate = None
-    else:
-        us = np.arange(re_lo, re_hi + step / 2.0, step)
-        vs = np.arange(im_lo, im_hi + step / 2.0, step)
-        uu = np.broadcast_to(us[:, None], (us.size, vs.size)).copy()
-        vv = np.broadcast_to(vs[None, :], (us.size, vs.size)).copy()
-        vals = np.asarray(target(uu, vv), dtype=np.float64)
-        evaluate = target
+    us = np.arange(re_lo, re_hi + step / 2.0, step)
+    vs = np.arange(im_lo, im_hi + step / 2.0, step)
+    uu = np.broadcast_to(us[:, None], (us.size, vs.size)).copy()
+    vv = np.broadcast_to(vs[None, :], (us.size, vs.size)).copy()
+    vals = np.asarray(target(uu, vv), dtype=np.float64)
 
     iu, iv = np.unravel_index(np.argmin(vals), vals.shape)
     on_edge = iu in (0, vals.shape[0] - 1) or (
@@ -201,29 +172,22 @@ def find_minimum(
     if on_edge:
         raise RegionError(
             f"scan minimum at ({us[iu]:.4f}, {vs[iv]:.4f}) lies on the "
-            f"search boundary; enlarge the region or window"
+            f"search boundary; enlarge the region"
         )
     u_star, v_star = float(us[iu]), float(vs[iv])
     f_best = float(vals[iu, iv])
-    du, drop_u = _parabola_refine(
+    u_star += _parabola_refine(
         vals[iu - 1, iv], vals[iu, iv], vals[iu + 1, iv], us[iu + 1] - us[iu]
     )
-    u_star += du
-    dv = drop_v = 0.0
     if vs.size > 2 and 0 < iv < vs.size - 1:
-        dv, drop_v = _parabola_refine(
+        v_star += _parabola_refine(
             vals[iu, iv - 1], vals[iu, iv], vals[iu, iv + 1], vs[iv + 1] - vs[iv]
         )
-        v_star += dv
-    if evaluate is not None:
-        f_star = float(np.asarray(evaluate(np.array([u_star]), np.array([v_star])))[0])
-        if f_star > f_best:
-            # the parabola misread a non-smooth target: keep the scanned node
-            u_star, v_star, f_star = float(us[iu]), float(vs[iv]), f_best
-    else:
-        f_star = f_best - drop_u - drop_v
-    out_scale = convention_factor(convention)
-    value = f_star * out_scale
+    f_star = float(np.asarray(target(np.array([u_star]), np.array([v_star])))[0])
+    if f_star > f_best:
+        # the parabola misread a non-smooth target: keep the scanned node
+        u_star, v_star, f_star = float(us[iu]), float(vs[iv]), f_best
+    value = f_star * convention_factor(convention)
     return MinimumReport(
         location=(u_star, v_star),
         value=value,

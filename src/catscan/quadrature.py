@@ -47,35 +47,46 @@ class QuadratureTable:
         object.__setattr__(self, "density", density)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phi", "x", "p"])
-            for i, phi in enumerate(self.phases):
-                for j, x in enumerate(self.x_grid):
-                    # repr of Python floats round-trips bit-identically
-                    writer.writerow(
-                        [repr(float(phi)), repr(float(x)), repr(float(self.density[i, j]))]
-                    )
+        _write_long_csv(path, "phi,x,p", self.phases, self.x_grid, self.density)
 
     @classmethod
     def from_csv(cls, path) -> "QuadratureTable":
-        phases: list[float] = []
-        xs: list[float] = []
-        rows: list[list[float]] = []
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["phi", "x", "p"]:
-                raise InvalidArgument(f"unexpected CSV header {header!r}")
-            for rec in reader:
-                phi, x, p = float(rec[0]), float(rec[1]), float(rec[2])
-                if not phases or phi != phases[-1]:
-                    phases.append(phi)
-                    rows.append([])
-                rows[-1].append(p)
-                if len(phases) == 1:
-                    xs.append(x)
-        return cls(np.array(phases), np.array(xs), np.array(rows))
+            return cls(*_read_long_csv(fh, ["phi", "x", "p"]))
+
+
+def _write_long_csv(path, header: str, a_axis, b_axis, values, preamble: str = "") -> None:
+    """One a,b,value row per grid point, a-major, after the preamble and header.
+
+    Rows end in CRLF, as csv.writer ends them. repr of a Python float
+    round-trips bit-identically.
+    """
+    b_reprs = [repr(b) for b in b_axis.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{preamble}{header}\r\n")
+        for a, row in zip(a_axis.tolist(), values.tolist()):
+            lead = f"{a!r},"
+            fh.write("".join(f"{lead}{b},{value!r}\r\n" for b, value in zip(b_reprs, row)))
+
+
+def _read_long_csv(fh, header: list[str]):
+    """a axis, b axis and values of a long-format CSV read from its header row on."""
+    reader = csv.reader(fh)
+    found = next(reader, None)
+    if found != header:
+        raise InvalidArgument(f"unexpected CSV header {found!r}")
+    a_axis: list[float] = []
+    b_axis: list[float] = []
+    rows: list[list[float]] = []
+    for rec in reader:
+        a, b, value = float(rec[0]), float(rec[1]), float(rec[2])
+        if not a_axis or a != a_axis[-1]:
+            a_axis.append(a)
+            rows.append([])
+        rows[-1].append(value)
+        if len(a_axis) == 1:
+            b_axis.append(b)
+    return np.array(a_axis), np.array(b_axis), np.array(rows)
 
 
 def default_phases(count: int = 11) -> np.ndarray:
@@ -122,13 +133,9 @@ def quadrature_wavefunctions(n_max: int, x_grid: np.ndarray) -> np.ndarray:
     return h
 
 
-def quadrature_distribution(
-    state: FockVector, phi: float, x_grid: np.ndarray, wavefunctions=None
-) -> np.ndarray:
+def quadrature_distribution(state: FockVector, phi: float, x_grid: np.ndarray) -> np.ndarray:
     """p(x, phi) = |sum_n c_n e^{-i n phi} h_n(x)|^2."""
-    h = wavefunctions
-    if h is None:
-        h = quadrature_wavefunctions(state.n_max, x_grid)
+    h = quadrature_wavefunctions(state.n_max, x_grid)
     n = np.arange(state.n_max + 1)
     rotated = state.amplitudes * np.exp(-1j * n * phi)
     psi = rotated @ h

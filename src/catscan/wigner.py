@@ -8,7 +8,6 @@ the reference minima below pin that factor empirically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 from .circuit import CatSpec, cat_branch_overlap
 from .errors import InvalidArgument, ZeroNorm
 from .fock import FockVector, displace, parity_expectation
+from .quadrature import _read_long_csv, _write_long_csv
 
 PAPER_SCALE = 2.0 * math.pi
 CONVENTIONS = ("phys", "paper")
@@ -57,41 +57,19 @@ class WignerGrid:
         object.__setattr__(self, "values", values)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# convention: {self.convention}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "w"])
-            for i, u in enumerate(self.re_axis):
-                for j, v in enumerate(self.im_axis):
-                    # repr of Python floats round-trips bit-identically
-                    writer.writerow(
-                        [repr(float(u)), repr(float(v)), repr(float(self.values[i, j]))]
-                    )
+        preamble = f"# convention: {self.convention}\n"
+        _write_long_csv(path, "re,im,w", self.re_axis, self.im_axis, self.values, preamble)
 
     @classmethod
     def from_csv(cls, path) -> "WignerGrid":
         convention = "phys"
-        res: list[float] = []
-        ims: list[float] = []
-        rows: list[list[float]] = []
         with open(path, newline="") as fh:
-            first = fh.readline().strip()
+            first = fh.readline()
             if first.startswith("# convention:"):
                 convention = first.split(":", 1)[1].strip()
-                header = fh.readline().strip()
             else:
-                header = first
-            if header != "re,im,w":
-                raise InvalidArgument(f"unexpected CSV header {header!r}")
-            for rec in csv.reader(fh):
-                u, v, w = float(rec[0]), float(rec[1]), float(rec[2])
-                if not res or u != res[-1]:
-                    res.append(u)
-                    rows.append([])
-                rows[-1].append(w)
-                if len(res) == 1:
-                    ims.append(v)
-        return cls(np.array(res), np.array(ims), np.array(rows), convention)
+                fh.seek(0)
+            return cls(*_read_long_csv(fh, ["re", "im", "w"]), convention)
 
 
 def cat_wigner_terms(spec: CatSpec) -> list[tuple[complex, complex]]:
@@ -148,26 +126,15 @@ def wigner_displaced_parity(state: FockVector, alpha: complex) -> float:
     return (2.0 / math.pi) * parity_expectation(shifted)
 
 
-def evaluate_grid(state_or_terms, re_axis, im_axis, convention: str = "phys") -> WignerGrid:
-    """Dense Wigner evaluation on a rectangular grid.
-
-    Coherent-superposition terms use the closed form; a FockVector falls
-    back to the displaced-parity evaluator point by point.
-    """
+def evaluate_grid(terms, re_axis, im_axis, convention: str = "phys") -> WignerGrid:
+    """Closed-form W of coherent-superposition terms on a rectangular grid."""
     re_axis = np.asarray(re_axis, dtype=np.float64)
     im_axis = np.asarray(im_axis, dtype=np.float64)
     for axis in (re_axis, im_axis):
         if axis.ndim != 1 or axis.size < 1 or (axis.size > 1 and np.any(np.diff(axis) <= 0)):
             raise InvalidArgument("axes must be monotone increasing")
     scale = convention_factor(convention)
-    if isinstance(state_or_terms, FockVector):
-        values = np.empty((re_axis.size, im_axis.size))
-        for i, u in enumerate(re_axis):
-            for j, v in enumerate(im_axis):
-                values[i, j] = wigner_displaced_parity(state_or_terms, u + 1j * v)
-    else:
-        alpha = re_axis[:, None] + 1j * im_axis[None, :]
-        values = wigner_superposition(state_or_terms, alpha)
+    values = wigner_superposition(terms, re_axis[:, None] + 1j * im_axis[None, :])
     return WignerGrid(re_axis, im_axis, values * scale, convention)
 
 

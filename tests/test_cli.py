@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catscan import InvalidArgument, QuadratureTable, SymmetryViolation, WignerGrid
-from catscan.cli import _SCHEMA, ExperimentConfig, main, parse_config
+from catscan import InvalidArgument, QuadratureTable, WignerGrid
+from catscan.cli import _SCHEMA, ExperimentConfig, build_parser, main, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -102,17 +104,25 @@ def test_main_exit_code_region_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: search region:")
 
 
-def test_main_exit_code_symmetry_violation(tmp_path, capsys, monkeypatch):
-    import catscan.cli as cli_module
-
-    def broken(table, verify_state=None, verify_tol=1e-6):
-        raise SymmetryViolation("slice mismatch")
-
-    monkeypatch.setattr(cli_module, "extend_phases", broken)
-    config = write_config(tmp_path, BASE_CONFIG)
-    code = main(["reconstruct", "--config", str(config), "--out", str(tmp_path)])
-    assert code == 4
-    assert capsys.readouterr().err.startswith("error: symmetry violation:")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--config", "CONFIG", "--seed", "3"],
+        ["reconstruct"],
+        ["colour", "--config", "CONFIG"],
+        ["noise-study", "--config", "CONFIG", "--convention", "natural"],
+    ],
+    ids=["flag-not-read", "missing-config", "unknown-command", "bad-choice"],
+)
+def test_usage_error_prints_one_line(tmp_path, capsys, argv):
+    config = str(write_config(tmp_path, BASE_CONFIG))
+    with pytest.raises(SystemExit) as exc:
+        main([config if arg == "CONFIG" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: usage:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_cat_state_output(tmp_path, capsys):
@@ -283,6 +293,30 @@ def test_phase_extension_is_an_unknown_key(tmp_path, capsys):
         config = write_config(tmp_path, BASE_CONFIG + f"{key} = {value}\n")
         assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert f"unknown key {key!r}" in _assert_one_line_config_error(capsys)
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    text = (REPO / "README.md").read_text()
+    table = text.split("| command | flags | purpose |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.strip().splitlines()[1:]:
+        command, flags = row.split("|")[1:3]
+        documented[command.strip().strip("`")] = sorted(re.findall(r"`(--[a-z-]+)", flags))
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        name: sorted(
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, sub in commands.items()
+    }
+    assert declared == documented
 
 
 def test_readme_lists_every_config_key():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catscan import (
     CatSpec,
@@ -17,7 +19,6 @@ from catscan import (
     default_n_max,
     default_phases,
     default_x_grid,
-    evaluate_grid,
     extend_phases,
     find_minimum,
     make_cat,
@@ -131,17 +132,6 @@ def test_find_minimum_exact_on_paraboloid():
     assert report.stddev == 0.0
 
 
-def test_find_minimum_grid_input():
-    terms = cat_wigner_terms(CatSpec(SQRT5, math.pi / 2))
-    axis = np.arange(0.02, 0.9, 0.005)
-    im_axis = np.arange(-0.05, 0.0501, 0.005)
-    grid = evaluate_grid(terms, axis, im_axis, "paper")
-    report = find_minimum(grid, ((0.02, 0.9), (-0.05, 0.05)), convention="phys")
-    assert report.location[0] == pytest.approx(0.33463, abs=1e-4)
-    assert abs(report.location[1]) < 1e-6
-    assert report.value == pytest.approx(-0.50323099, abs=1e-6)
-
-
 def test_find_minimum_conventions_scale_by_2pi():
     terms = cat_wigner_terms(CatSpec(SQRT5, math.pi / 2))
 
@@ -161,9 +151,8 @@ def test_find_minimum_local_mode_picks_secondary_dip():
     def target(u, v):
         return wigner_superposition(terms, u + 1j * v)
 
-    region = ((0.02, 4.0), (0.0, 0.0))
-    global_report = find_minimum(target, region)
-    local_report = find_minimum(target, region, mode="local", near=(0.157, 0.0))
+    global_report = find_minimum(target, ((0.02, 4.0), (0.0, 0.0)))
+    local_report = find_minimum(target, ((0.157 - 0.12, 0.157 + 0.12), (0.0, 0.0)))
     assert global_report.location[0] == pytest.approx(0.895442, abs=1e-4)
     assert local_report.location[0] == pytest.approx(0.154546, abs=1e-4)
     assert local_report.value == pytest.approx(-0.14327474, abs=1e-6)
@@ -186,10 +175,6 @@ def test_find_minimum_validation():
         return u**2 + v**2
 
     region = ((-1.0, 1.0), (-1.0, 1.0))
-    with pytest.raises(InvalidArgument):
-        find_minimum(target, region, mode="local")
-    with pytest.raises(InvalidArgument):
-        find_minimum(target, region, mode="steepest")
     with pytest.raises(InvalidArgument):
         find_minimum(target, region, step=0.02)
     with pytest.raises(InvalidArgument):
@@ -318,11 +303,19 @@ def test_minimum_stays_negative_beyond_five_error_bars(theta, probe):
     assert report.mean + 5.0 * error_bar < 0.0
 
 
-def test_monte_carlo_mean_is_unbiased():
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**40 - 1),
+    magnitude=st.floats(min_value=0.05, max_value=0.9),
+    runs=st.integers(min_value=50, max_value=400),
+)
+def test_monte_carlo_mean_is_unbiased(seed, magnitude, runs):
+    # the factors have mean 1, so the mean over runs lands within a few
+    # standard errors of the clean value
     spec = CatSpec(SQRT5, math.pi / 2)
-    noise = NoiseSpec(magnitude=0.25, runs=50, seed=31415)
+    noise = NoiseSpec(magnitude=magnitude, runs=runs, seed=seed)
     report = monte_carlo_study(spec, noise, probe_point=(0.3346, 0.0))
-    assert abs(report.mean - report.value) <= report.stddev
+    assert abs(report.mean - report.value) <= 5.0 * report.stddev / math.sqrt(runs)
 
 
 def test_report_json_rejects_non_finite_values():

