@@ -57,52 +57,6 @@ class ReconstructionConfig:
         return cls(cutoff_kc=2.0 * (2.0 * math.sqrt(mean_photon) + 4.0))
 
 
-def filter_kernel(xi, kc: float):
-    """Closed form of int_{-kc}^{kc} |k| exp(i k xi) dk.
-
-    K(xi) = -4 sin^2(kc xi / 2) / xi^2 + (2 kc / xi) sin(kc xi), which is
-    (2/xi^2)(cos(kc xi) - 1) + (2 kc / xi) sin(kc xi) without the cancellation
-    in cos - 1. Only the division by xi^2 remains, so the series
-    kc^2 (1 - t^2/4 + t^4/72), t = kc xi, takes over for |t| < 1e-4.
-    """
-    if not (kc > 0.0 and math.isfinite(kc)):
-        raise InvalidArgument(f"cutoff kc must be positive, got {kc}")
-    xi_arr = np.asarray(xi, dtype=np.float64)
-    t = kc * xi_arr
-    small = np.abs(t) < 1e-4
-    xi_safe = np.where(small, 1.0, xi_arr)
-    t_safe = kc * xi_safe
-    out = -4.0 * np.sin(0.5 * t_safe) ** 2 / xi_safe**2 + (2.0 * kc / xi_safe) * np.sin(
-        t_safe
-    )
-    t2 = t**2
-    out = np.where(small, kc**2 * (1.0 - t2 / 4.0 + t2**2 / 72.0), out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def filter_kernel_numeric(xi, kc: float):
-    """Direct Gauss-Legendre quadrature of the kernel integral, for cross-checking.
-
-    One rule serves every xi. It has kc max|xi| + 64 nodes, about four times
-    what _node_count asks for the same integrand, so it does not share the
-    engine's node budget.
-    """
-    if not (kc > 0.0 and math.isfinite(kc)):
-        raise InvalidArgument(f"cutoff kc must be positive, got {kc}")
-    xi_arr = np.asarray(xi, dtype=np.float64)
-    omega = kc * float(np.max(np.abs(xi_arr), initial=0.0))
-    if not omega <= 4.0 * _MAX_NODES:
-        raise InvalidArgument(f"kc * max|xi| = {omega:.4g} exceeds {4 * _MAX_NODES}")
-    nodes, weights = np.polynomial.legendre.leggauss(math.ceil(omega) + 64)
-    k = 0.5 * kc * (nodes + 1.0)
-    out = np.cos(np.multiply.outer(xi_arr, k)) @ (kc * weights * k)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def extend_phases(table: QuadratureTable, verify_state=None) -> QuadratureTable:
     """Extend a [0, pi/2] table to [0, pi] via p(x, pi - phi) = p(-x, phi).
 
@@ -153,14 +107,18 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _phase_weights(phases: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on a closed grid (span pi), the step on a periodic one
+    (uniform, span + step = pi); any other grid misses part of the period."""
     span = phases[-1] - phases[0]
+    if abs(span - math.pi) < 1e-9:
+        return _trapezoid_weights(phases)
     diffs = np.diff(phases)
-    uniform = diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=0, atol=1e-12)
-    if abs(span - math.pi) >= 1e-9 and uniform and abs(span + diffs[0] - math.pi) < 1e-9:
-        # periodic [0, pi) grid: uniform weights
-        return np.full(phases.shape, diffs[0])
-    # closed [0, pi] or irregular grid: trapezoid (half weight at both endpoints)
-    return _trapezoid_weights(phases)
+    step = diffs[0] if diffs.size else math.nan
+    if np.allclose(diffs, step, rtol=0, atol=1e-12) and abs(span + step - math.pi) < 1e-9:
+        return np.full(phases.shape, step)
+    raise InvalidArgument(
+        f"phases [{phases[0]:.4f}, {phases[-1]:.4f}] neither close nor tile a period of pi"
+    )
 
 
 def _node_count(omega: float) -> int:
@@ -171,6 +129,18 @@ def _node_count(omega: float) -> int:
     headroom over the smallest converged count for omega from 1 to 800.
     """
     return math.ceil(omega / 4.0 + 5.0 * omega ** (1.0 / 3.0)) + 2
+
+
+def _checked_node_count(omega: float) -> int:
+    """_node_count(omega) up to _MAX_NODES. It exceeds omega / 4, so the bound
+    also keeps an overflowed or NaN omega away from math.ceil."""
+    n_nodes = _node_count(omega) if omega < 4.0 * _MAX_NODES else math.inf
+    if n_nodes > _MAX_NODES:
+        raise InvalidArgument(
+            f"cutoff_kc * (max|x| + max|(u, v)|) = {omega:.4g} needs more than "
+            f"{_MAX_NODES} k nodes; lower the cutoff or the point range"
+        )
+    return n_nodes
 
 
 def _spline_matrix(n: int) -> np.ndarray:
@@ -253,11 +223,7 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     if not (np.all(np.isfinite(re_arr)) and np.all(np.isfinite(im_arr))):
         raise InvalidArgument("reconstruction points must be finite")
     phases, x, density = table.phases, table.x_grid, table.density
-    if phases[-1] < math.pi / 2 + 1e-9:
-        raise InvalidArgument(
-            f"phases only cover [0, {phases[-1]:.4f}]; reconstruction needs "
-            f"coverage of [0, pi] (run extend_phases first)"
-        )
+    phase_weights = _phase_weights(phases)
     if x.size < 4:
         raise InvalidArgument(f"x grid needs at least 4 points, got {x.size}")
     if not np.allclose(x, -x[::-1], rtol=0, atol=1e-12):
@@ -268,20 +234,11 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     u = re_arr.ravel()
     v = im_arr.ravel()
     kc = config.cutoff_kc
-    reach = float(np.max(np.hypot(u, v), initial=0.0))
-    omega = kc * (float(x[-1]) + reach)
-    # _node_count(omega) > omega / 4, so the bound also keeps an overflowed
-    # reach (inf) away from math.ceil
-    n_nodes = _node_count(omega) if omega < 4.0 * _MAX_NODES else math.inf
-    if n_nodes > _MAX_NODES:
-        raise InvalidArgument(
-            f"cutoff_kc * (max|x| + max|(u, v)|) = {omega:.4g} needs more than "
-            f"{_MAX_NODES} k nodes; lower the cutoff or the point range"
-        )
+    n_nodes = _checked_node_count(kc * (float(x[-1]) + float(np.max(np.hypot(u, v), initial=0.0))))
     k, k_weights, cos_table, sin_table = _node_tables(x.tobytes(), kc, n_nodes)
     half = x.size // 2
     mirrored = density[:, ::-1]
-    scale = _phase_weights(phases)[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
+    scale = phase_weights[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
     re_part = ((density + mirrored)[:, half:] @ cos_table) * scale
     im_part = ((density - mirrored)[:, half:] @ sin_table) * scale
     # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
@@ -331,3 +288,39 @@ def reconstruct(
     vv = np.broadcast_to(im_axis[None, :], (re_axis.size, im_axis.size))
     values = reconstruct_at(table, uu, vv, config)
     return WignerGrid(re_axis, im_axis, values, "phys")
+
+
+def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: ReconstructionConfig):
+    """The engine's phase and k sums over exact slice characteristic functions.
+
+    For sum_i c_i |b_i> (terms as from cat_wigner_terms), slice phi has
+    P(k) = <D(xi)> with xi = i k e^{i phi} / 2 (Cahill & Glauber 1969), from
+    <b_j|D(xi)|b_i> = exp(b_j* (b_i + xi) - xi* b_i - (|b_i|^2 + |b_j|^2 + |xi|^2) / 2).
+    With no Fock truncation, x grid or spline, the engine differs from this
+    only by x discretisation, and this from the true W only by the cutoff
+    and the phase sampling. Phys convention.
+    """
+    phases = np.asarray(phases, dtype=np.float64)
+    u = np.asarray(re_pts, dtype=np.float64)
+    v = np.asarray(im_pts, dtype=np.float64)
+    kc = config.cutoff_kc
+    reach = max(abs(b) for _, b in terms) + float(np.max(np.hypot(u, v), initial=0.0))
+    nodes, weights = np.polynomial.legendre.leggauss(2 * _checked_node_count(kc * reach))
+    k = 0.5 * kc * (nodes + 1.0)
+
+    def expectation(xi):
+        return sum(
+            ci * np.conj(cj) * np.exp(
+                np.conj(bj) * (bi + xi) - np.conj(xi) * bi
+                - (abs(bi) ** 2 + abs(bj) ** 2 + np.abs(xi) ** 2) / 2.0
+            )
+            for ci, bi in terms
+            for cj, bj in terms
+        )
+
+    char = expectation(0.5j * np.multiply.outer(np.exp(1j * phases), k)) / expectation(0.0)
+    char *= _phase_weights(phases)[:, None] * (kc * weights * k) / (4.0 * math.pi**2)
+    out = np.zeros(u.shape)
+    for phi, row in zip(phases, char):
+        out += (np.exp(-1j * np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)) @ row).real
+    return float(out) if out.ndim == 0 else out

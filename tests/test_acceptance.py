@@ -27,8 +27,6 @@ from catscan import (
     diagonal_basis_amplitudes,
     entangle_kerr,
     extend_phases,
-    filter_kernel,
-    filter_kernel_numeric,
     find_minimum,
     make_cat,
     make_ghz,
@@ -37,6 +35,7 @@ from catscan import (
     published_branch_weight,
     quadrature_distribution,
     reconstruct_at,
+    reconstruct_closed_form,
     wigner_displaced_parity,
     wigner_superposition,
 )
@@ -203,16 +202,16 @@ def test_criterion_6_oracle_equivalence():
         closed = wigner_superposition(terms, complex(u, v))
         parity = wigner_displaced_parity(state, complex(u, v))
         worst_w = max(worst_w, abs(closed - parity))
-    kc = 2.0 * (2.0 * SQRT5 + 4.0)
-    worst_k = 0.0
-    for xi in np.linspace(-2.5, 2.5, 20):
-        worst_k = max(worst_k, abs(filter_kernel(float(xi), kc) - filter_kernel_numeric(float(xi), kc)))
-    ok = worst_w < 1e-6 and worst_k < 1e-8
+    _, table, config = _recon_target(spec, 50)
+    u, v = rng.uniform(-2.5, 2.5, size=(2, 20))
+    engine = reconstruct_at(table, u, v, config)
+    worst_r = float(np.max(np.abs(engine - reconstruct_closed_form(terms, table.phases, u, v, config))))
+    ok = worst_w < 1e-6 and worst_r < 1e-6
     _report(
         "6 (oracle equivalence)",
         ok,
         f"closed vs parity max {worst_w:.1e} (tol 1e-6) on 100 points; "
-        f"kernel closed vs numeric max {worst_k:.1e} (tol 1e-8) on 20 points",
+        f"reconstruction vs same-phase closed form max {worst_r:.1e} (tol 1e-6) on 20 points",
     )
 
 

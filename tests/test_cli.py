@@ -88,7 +88,7 @@ def test_main_exit_code_truncation(tmp_path, capsys):
     config = write_config(
         tmp_path, "r = 3.1622776601683795\ntheta = 1.5\nn_max = 12\n"
     )
-    code = main(["cat-state", "--config", str(config), "--out", str(tmp_path)])
+    code = main(["cat-state", "--config", str(config)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: truncation:")
 
@@ -111,8 +111,10 @@ def test_main_exit_code_region_error(tmp_path, capsys):
         ["reconstruct"],
         ["colour", "--config", "CONFIG"],
         ["noise-study", "--config", "CONFIG", "--convention", "natural"],
+        ["cat-state", "--config", "CONFIG", "--out", "."],
+        ["ghz", "phi-plus", "--out", "."],
     ],
-    ids=["flag-not-read", "missing-config", "unknown-command", "bad-choice"],
+    ids=["flag-not-read", "missing-config", "unknown-command", "bad-choice", "cat-state-out", "ghz-out"],
 )
 def test_usage_error_prints_one_line(tmp_path, capsys, argv):
     config = str(write_config(tmp_path, BASE_CONFIG))
@@ -127,7 +129,7 @@ def test_usage_error_prints_one_line(tmp_path, capsys, argv):
 
 def test_cat_state_output(tmp_path, capsys):
     config = write_config(tmp_path, BASE_CONFIG)
-    assert main(["cat-state", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert main(["cat-state", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0] == "r = 2.2360679775"
@@ -356,7 +358,7 @@ def test_readme_lists_every_config_key():
 )
 def test_oversized_state_exits_2(tmp_path, capsys, text):
     config = write_config(tmp_path, text)
-    assert main(["cat-state", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert main(["cat-state", "--config", str(config)]) == 2
     _assert_one_line_config_error(capsys)
 
 

@@ -18,14 +18,14 @@ from catscan import (
     build_table,
     cat_wigner_terms,
     coherent_state,
+    default_n_max,
     default_phases,
     default_x_grid,
     extend_phases,
-    filter_kernel,
-    filter_kernel_numeric,
     make_cat,
     reconstruct,
     reconstruct_at,
+    reconstruct_closed_form,
     slice_terms,
     vacuum,
     wigner_superposition,
@@ -46,31 +46,6 @@ def test_config_for_mean_photon():
     assert cfg.cutoff_kc == pytest.approx(2.0 * (2.0 * math.sqrt(5.0) + 4.0))
     with pytest.raises(InvalidArgument):
         ReconstructionConfig.for_mean_photon(-1.0)
-
-
-def test_filter_kernel_matches_numeric_integral():
-    kc = 12.0
-    for xi in np.linspace(-3.0, 3.0, 20):
-        assert abs(filter_kernel(xi, kc) - filter_kernel_numeric(float(xi), kc)) < 1e-8
-
-
-def test_filter_kernel_at_zero_and_series_handoff():
-    kc = 10.0
-    assert filter_kernel(0.0, kc) == pytest.approx(kc**2)
-    # continuity across the small-argument series boundary
-    below = filter_kernel(0.99e-4 / kc, kc)
-    above = filter_kernel(1.01e-4 / kc, kc)
-    assert abs(below - above) < 1e-8 * kc**2
-    with pytest.raises(InvalidArgument):
-        filter_kernel(1.0, -2.0)
-
-
-@pytest.mark.parametrize("t", [1.01e-4, 2e-4, 1e-3])
-def test_filter_kernel_accurate_above_series_switch(t):
-    kc = 10.0
-    series = kc**2 * (1.0 - t**2 / 4.0 + t**4 / 72.0)
-    for xi in (t / kc, -t / kc):
-        assert abs(filter_kernel(xi, kc) / series - 1.0) < 1e-13
 
 
 def test_extend_phases_doubles_coverage():
@@ -118,6 +93,50 @@ def test_reconstruct_requires_extended_phases():
         reconstruct_at(table, 0.0, 0.0, cfg)
 
 
+def test_reconstruct_rejects_phases_short_of_a_period():
+    """A grid must close the period of pi or tile it uniformly.
+
+    Both tables below once reconstructed without an error: the theta90
+    minimum read -1.62 on [0, 2.0] and -2.35 on [0.1, pi - 0.1], not -3.16.
+    """
+    spec = CatSpec(SQRT5, math.pi / 2)
+    state = make_cat(spec, 50)
+    x = default_x_grid(5.0)
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    from_01 = build_table(state, np.linspace(0.1, math.pi / 2, 6), x)
+    for table in (
+        build_table(state, np.linspace(0.0, 2.0, 11), x),
+        extend_phases(from_01),
+        build_table(state, [0.5], x),
+    ):
+        with pytest.raises(InvalidArgument, match="period of pi"):
+            reconstruct_at(table, 0.3346, 0.0, cfg)
+        with pytest.raises(InvalidArgument, match="period of pi"):
+            reconstruct_closed_form(cat_wigner_terms(spec), table.phases, 0.3346, 0.0, cfg)
+    with pytest.raises(InvalidArgument, match="period of pi"):
+        slice_terms(from_01, 0.3346, 0.0, cfg)
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        np.linspace(0.0, math.pi, 21),
+        np.arange(21) * math.pi / 21.0,
+        np.linspace(0.3, 0.3 + math.pi, 15),
+    ],
+    ids=["closed", "periodic", "closed-shifted"],
+)
+def test_closed_and_periodic_phase_grids_reconstruct(phases):
+    spec = CatSpec(SQRT5, math.pi / 2)
+    table = build_table(make_cat(spec, 50), phases, default_x_grid(5.0))
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    got = reconstruct_at(table, 0.3346, 0.0, cfg)
+    assert got == pytest.approx(
+        reconstruct_closed_form(cat_wigner_terms(spec), phases, 0.3346, 0.0, cfg), abs=1e-6
+    )
+    assert abs(2.0 * math.pi * got / -3.16 - 1.0) < 0.03
+
+
 def test_reconstruct_requires_symmetric_x_grid():
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 50)
     x = np.linspace(-5.0, 6.0, 1101)
@@ -157,11 +176,9 @@ def _scale_rows(table, factors):
     return QuadratureTable(table.phases, table.x_grid, table.density * np.asarray(factors)[:, None])
 
 
-# 21, 16 and 11 extended slices: pi/2 measured (no mirror of its own) or not
+# 21 and 16 extended slices: pi/2 measured (no mirror of its own) or not
 @pytest.mark.parametrize(
-    "phases",
-    [default_phases(), np.linspace(0.0, 1.4, 8), np.linspace(0.1, math.pi / 2, 6)],
-    ids=["default", "to-1.4", "from-0.1"],
+    "phases", [default_phases(), np.linspace(0.0, 1.4, 8)], ids=["default", "to-1.4"]
 )
 def test_slice_terms_are_single_slice_reconstructions(phases):
     state = make_cat(CatSpec(SQRT5, 1.11), 50)
@@ -251,11 +268,35 @@ def test_dense_reconstruct_matches_pointwise():
             )
 
 
+def _cutoff_kernel(xi, kc):
+    """K(xi) = int_{-kc}^{kc} |k| exp(i k xi) dk in closed form.
+
+    -4 sin^2(t / 2) / xi^2 + 2 kc sin(t) / xi with t = kc xi, which has no
+    cancellation in cos - 1; the series kc^2 (1 - t^2/4 + t^4/72) takes over
+    for |t| < 1e-4.
+    """
+    t = kc * xi
+    small = np.abs(t) < 1e-4
+    xi_safe = np.where(small, 1.0, xi)
+    t_safe = kc * xi_safe
+    exact = -4.0 * np.sin(0.5 * t_safe) ** 2 / xi_safe**2 + 2.0 * kc * np.sin(t_safe) / xi_safe
+    return np.where(small, kc**2 * (1.0 - t**2 / 4.0 + t**4 / 72.0), exact)
+
+
+def test_cutoff_kernel_matches_its_integral():
+    kc = 12.0
+    xi = np.concatenate([np.linspace(-3.0, 3.0, 21), [0.99e-4 / kc, 1.01e-4 / kc, 1e-3 / kc]])
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    k = 0.5 * kc * (nodes + 1.0)
+    numeric = np.cos(np.multiply.outer(xi, k)) @ (kc * weights * k)
+    assert np.max(np.abs(_cutoff_kernel(xi, kc) - numeric)) < 1e-10 * kc**2
+
+
 def _explicit_back_projection(table, u, v, kc, x_nodes, density):
-    """The filter_kernel sum over slices and x nodes, trapezoid in both."""
+    """The cutoff-kernel sum over slices and x nodes, trapezoid in both."""
     rows = []
     for row, phi in zip(density, table.phases):
-        kernel = filter_kernel(x_nodes - u * math.cos(phi) - v * math.sin(phi), kc)
+        kernel = _cutoff_kernel(x_nodes - u * math.cos(phi) - v * math.sin(phi), kc)
         rows.append(np.trapezoid(row * kernel, x_nodes))
     return np.trapezoid(rows, table.phases) / (4.0 * math.pi**2)
 
@@ -282,11 +323,15 @@ PRESETS = ("theta90", "theta63", "theta02", "nbar10", "noise25", "noise50")
 FAR_POINTS = ((15.0, 0.0), (0.0, -15.0), (-10.6, 10.6), (12.0, 9.0))
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_doubling_node_count_leaves_w_unchanged(preset, monkeypatch):
+def _preset_table(preset):
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.cfg")
     state = make_cat(cfg.cat, cfg.n_max)
-    table = extend_phases(build_table(state, cfg.phases(), cfg.x_grid()))
+    return cfg, extend_phases(build_table(state, cfg.phases(), cfg.x_grid()))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_doubling_node_count_leaves_w_unchanged(preset, monkeypatch):
+    cfg, table = _preset_table(preset)
     probe = reconstruct_at(table, *cfg.probe, cfg.recon)
     far = [reconstruct_at(table, u, v, cfg.recon) for u, v in FAR_POINTS]
     node_count = tomography_module._node_count
@@ -298,6 +343,84 @@ def test_doubling_node_count_leaves_w_unchanged(preset, monkeypatch):
     # largest |W| a state can have, 2/pi
     for a, b in zip(far, far_2m):
         assert abs(a - b) < 1e-13 * TWO_OVER_PI
+
+
+SQUARE_AXIS = np.linspace(-3.0, 3.0, 13)
+SQUARE_U, SQUARE_V = np.meshgrid(SQUARE_AXIS, SQUARE_AXIS, indexing="ij")
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_engine_matches_same_phase_closed_form(preset):
+    """The engine differs from the closed form by x discretisation alone.
+
+    Measured: 7.6e-8 (theta90, noise25, noise50), 3.3e-8 (theta63),
+    2.0e-9 (theta02), 2.6e-7 (nbar10).
+    """
+    cfg, table = _preset_table(preset)
+    engine = reconstruct_at(table, SQUARE_U, SQUARE_V, cfg.recon)
+    oracle = reconstruct_closed_form(
+        cat_wigner_terms(cfg.cat), table.phases, SQUARE_U, SQUARE_V, cfg.recon
+    )
+    assert np.max(np.abs(engine - oracle)) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(min_value=0.5, max_value=2.5),
+    theta=st.floats(min_value=0.05, max_value=math.pi / 2),
+    sign=st.sampled_from(["plus", "minus"]),
+    points=st.lists(
+        st.tuples(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_engine_matches_same_phase_closed_form_for_any_cat(r, theta, sign, points):
+    spec = CatSpec(r, theta, sign)
+    state = make_cat(spec, default_n_max(spec.mean_photon))
+    table = extend_phases(build_table(state, default_phases(), default_x_grid(spec.mean_photon)))
+    cfg = ReconstructionConfig.for_mean_photon(spec.mean_photon)
+    u, v = np.array(points).T
+    engine = reconstruct_at(table, u, v, cfg)
+    oracle = reconstruct_closed_form(cat_wigner_terms(spec), table.phases, u, v, cfg)
+    assert np.max(np.abs(engine - oracle)) <= 1e-6
+
+
+def test_engine_matches_closed_form_of_an_asymmetric_state(monkeypatch):
+    """A coherent state off both axes, on a periodic [0, pi) grid, not extended.
+
+    Every cat is symmetric under v -> -v; this state is not, so the closed
+    form of the conjugate state (0.56 away) pins the phase convention.
+    """
+    beta = 1.0 + 0.5j
+    phases = np.arange(21) * math.pi / 21.0
+    table = build_table(coherent_state(beta, 40), phases, np.linspace(-5.0, 5.0, 1001))
+    cfg = ReconstructionConfig(cutoff_kc=12.0)
+    engine = reconstruct_at(table, SQUARE_U, SQUARE_V, cfg)
+    oracle = reconstruct_closed_form([(1.0, beta)], phases, SQUARE_U, SQUARE_V, cfg)
+    assert np.max(np.abs(engine - oracle)) <= 1e-8
+    conjugate = reconstruct_closed_form([(1.0, beta.conjugate())], phases, SQUARE_U, SQUARE_V, cfg)
+    assert np.max(np.abs(engine - conjugate)) > 0.1
+    node_count = tomography_module._node_count
+    monkeypatch.setattr(tomography_module, "_node_count", lambda omega: 2 * node_count(omega))
+    doubled = reconstruct_closed_form([(1.0, beta)], phases, SQUARE_U, SQUARE_V, cfg)
+    assert np.max(np.abs(doubled - oracle)) < 1e-13
+
+
+def test_closed_form_returns_the_shape_of_its_points():
+    spec = CatSpec(SQRT5, 1.11)
+    phases = extend_phases(THETA111_TABLE).phases
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    scalar = reconstruct_closed_form(cat_wigner_terms(spec), phases, 0.8954, 0.0, cfg)
+    assert isinstance(scalar, float)
+    grid = reconstruct_closed_form(cat_wigner_terms(spec), phases, SQUARE_U, SQUARE_V, cfg)
+    assert grid.shape == SQUARE_U.shape
+    assert grid[0, 0] == pytest.approx(
+        reconstruct_closed_form(cat_wigner_terms(spec), phases, -3.0, -3.0, cfg), abs=1e-15
+    )
+    for u in (math.nan, 1.0e4):
+        with pytest.raises(InvalidArgument):
+            reconstruct_closed_form(cat_wigner_terms(spec), phases, u, 0.0, cfg)
 
 
 def test_reconstruct_rejects_non_finite_points():
