@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgument, ZeroNorm
-from .fock import FockVector, coherent_state, normalize, superpose
+from .fock import FockVector, coherent_state
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,12 +95,22 @@ def conditional_project(
     return FockVector(raw / math.sqrt(prob)), prob
 
 
+def _herald(spec: CatSpec, n_max: int) -> tuple[FockVector, float]:
+    """The cat and its heralding probability, from the Kerr circuit.
+
+    A probe |r e^{-i theta}> picks up the conditional phase 2 theta on the
+    H branch, so the branches are |r e^{i theta}> and |r e^{-i theta}>;
+    the diagonal outcome that CatSpec.sign names selects their sum or
+    difference.
+    """
+    probe = spec.r * np.exp(-1j * spec.theta)
+    outcome = "plus45" if spec.sign == "plus" else "minus45"
+    return conditional_project(entangle_kerr(probe, 2.0 * spec.theta, n_max), outcome)
+
+
 def make_cat(spec: CatSpec, n_max: int) -> FockVector:
-    """Normalized |r e^{i theta}> +/- |r e^{-i theta}>."""
-    sign = 1.0 if spec.sign == "plus" else -1.0
-    plus = coherent_state(spec.r * np.exp(1j * spec.theta), n_max)
-    minus = coherent_state(spec.r * np.exp(-1j * spec.theta), n_max)
-    return normalize(superpose([(1.0, plus), (sign, minus)]))
+    """Normalized |r e^{i theta}> +/- |r e^{-i theta}>, heralded by the circuit."""
+    return _herald(spec, n_max)[0]
 
 
 def cat_branch_overlap(spec: CatSpec) -> complex:

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import BellState, CatSpec, bell_state, diagonal_basis_amplitudes, make_cat, make_ghz
+from .circuit import (
+    BellState, CatSpec, _herald, bell_state, diagonal_basis_amplitudes, make_cat, make_ghz,
+)
 from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
 from .experiment import (
     N_MAX_LIMIT,
@@ -223,12 +225,13 @@ def _out_path(args, suffix: str) -> Path:
 
 def _cmd_cat_state(args) -> int:
     cfg = args.config_data
-    state = make_cat(cfg.cat, cfg.n_max)
+    state, herald_probability = _herald(cfg.cat, cfg.n_max)
     print(f"r = {cfg.cat.r:.12g}")
     print(f"theta = {cfg.cat.theta:.12g}")
     print(f"sign = {cfg.cat.sign}")
     print(f"norm = {state.norm():.15g}")
     print(f"mean_photon = {mean_photon_number(state):.15g}")
+    print(f"herald_probability = {herald_probability:.15g}")
     print("n,re,im")
     for n, amp in enumerate(state.amplitudes):
         print(f"{n},{float(amp.real)!r},{float(amp.imag)!r}")

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, TruncationError, ZeroNorm
+from .errors import DimensionMismatch, InvalidArgument, TruncationError
 
 LEAKAGE_TOL = 1e-10
-ZERO_NORM_TOL = 1e-14
 DISPLACEMENT_LEAK_TOL = 1e-8
 
 
@@ -74,28 +73,6 @@ def coherent_state(beta: complex, n_max: int) -> FockVector:
             f"past n_max={n_max} (tolerance {LEAKAGE_TOL:.1e})"
         )
     return FockVector(amps)
-
-
-def superpose(terms: list[tuple[complex, FockVector]]) -> FockVector:
-    """Unnormalized linear combination sum_i coeff_i * state_i."""
-    if not terms:
-        raise InvalidArgument("superpose needs at least one term")
-    n_max = terms[0][1].n_max
-    out = np.zeros(n_max + 1, dtype=np.complex128)
-    for coeff, state in terms:
-        if state.n_max != n_max:
-            raise DimensionMismatch(
-                f"mixed truncation orders {state.n_max} and {n_max}"
-            )
-        out += complex(coeff) * state.amplitudes
-    return FockVector(out)
-
-
-def normalize(state: FockVector) -> FockVector:
-    nrm = state.norm()
-    if nrm <= ZERO_NORM_TOL:
-        raise ZeroNorm(f"cannot normalize state with norm {nrm:.2e}")
-    return FockVector(state.amplitudes / nrm)
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:

@@ -142,16 +142,8 @@ def quadrature_distribution(state: FockVector, phi: float, x_grid: np.ndarray) -
     return np.abs(psi) ** 2
 
 
-def build_table(
-    state: FockVector, phases: np.ndarray | None = None, x_grid: np.ndarray | None = None
-) -> QuadratureTable:
-    """Stack p(x, phi) rows for the given phases (default: 11 on [0, pi/2])."""
-    from .fock import mean_photon_number
-
-    if phases is None:
-        phases = default_phases()
-    if x_grid is None:
-        x_grid = default_x_grid(mean_photon_number(state))
+def build_table(state: FockVector, phases: np.ndarray, x_grid: np.ndarray) -> QuadratureTable:
+    """Stack p(x, phi) rows for the given phases."""
     phases = np.asarray(phases, dtype=np.float64)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     h = quadrature_wavefunctions(state.n_max, x_grid)

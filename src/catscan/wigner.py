@@ -166,7 +166,9 @@ def published_branch_weight(spec: CatSpec) -> float:
     The reference values scale the two-branch superposition as if the
     branches were orthogonal, so they carry an extra factor
     1 + sign * Re<b2|b1> relative to the properly normalized W. The factor
-    is 0.7524 at theta=0.2 and within 2.3e-4 of 1 for the other anchors.
+    is twice the probability of the diagonal outcome that heralds the cat
+    (make_cat). It is 0.7524 at theta=0.2 and within 2.3e-4 of 1 for the
+    other anchors.
     """
     sign = 1.0 if spec.sign == "plus" else -1.0
     return 1.0 + sign * cat_branch_overlap(spec).real

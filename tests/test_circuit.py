@@ -6,7 +6,9 @@ import pytest
 from catscan import (
     BellState,
     CatSpec,
+    HybridState,
     InvalidArgument,
+    ZeroNorm,
     append_diagonal_photon,
     bell_state,
     cat_branch_overlap,
@@ -19,8 +21,6 @@ from catscan import (
     make_cat,
     make_ghz,
     measurement_probabilities,
-    normalize,
-    superpose,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -70,29 +70,28 @@ def test_conditional_project_bad_outcome():
         conditional_project(hybrid, "diagonal")
 
 
-@pytest.mark.parametrize("sign,outcome", [("plus", "plus45"), ("minus", "minus45")])
-def test_projection_reproduces_make_cat(sign, outcome):
-    theta = 1.11
-    spec = CatSpec(SQRT5, theta, sign)
-    hybrid = entangle_kerr(SQRT5 * np.exp(-1j * theta), 2.0 * theta, 50)
-    projected, _ = conditional_project(hybrid, outcome)
-    direct = make_cat(spec, 50)
-    fidelity = abs(inner_product(projected, direct)) ** 2
-    assert fidelity == pytest.approx(1.0, abs=1e-12)
+def test_conditional_project_exact_zero_raises():
+    # no Kerr phase: both branches are the same coherent state
+    with pytest.raises(ZeroNorm):
+        conditional_project(entangle_kerr(1.0, 0.0, 30), "minus45")
 
 
-def test_make_cat_matches_superposition():
-    spec = CatSpec(SQRT5, 0.7, "minus")
-    direct = normalize(
-        superpose(
-            [
-                (1.0, coherent_state(SQRT5 * np.exp(0.7j), 50)),
-                (-1.0, coherent_state(SQRT5 * np.exp(-0.7j), 50)),
-            ]
-        )
+def test_hybrid_state_rejects_mixed_truncation():
+    with pytest.raises(InvalidArgument):
+        HybridState(coherent_state(1.0, 20), coherent_state(1.0, 21))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+@pytest.mark.parametrize("theta", [0.2, 0.7, 1.11, math.pi / 2])
+def test_make_cat_matches_coherent_superposition(theta, sign):
+    spec = CatSpec(SQRT5, theta, "plus" if sign > 0 else "minus")
+    raw = (
+        coherent_state(SQRT5 * np.exp(1j * theta), 50).amplitudes
+        + sign * coherent_state(SQRT5 * np.exp(-1j * theta), 50).amplitudes
     )
+    want = raw / np.linalg.norm(raw)
     got = make_cat(spec, 50)
-    assert np.max(np.abs(got.amplitudes - direct.amplitudes)) < 1e-13
+    assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
 
 def test_cat_branch_overlap_matches_inner_product():

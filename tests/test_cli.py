@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catscan import InvalidArgument, QuadratureTable, WignerGrid
+from catscan import InvalidArgument, QuadratureTable, WignerGrid, published_branch_weight
 from catscan.cli import _SCHEMA, ExperimentConfig, build_parser, main, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -140,6 +140,33 @@ def test_cat_state_output(tmp_path, capsys):
     # odd Fock amplitudes vanish for the plus cat at theta = pi/2
     amp1 = next(ln for ln in lines if ln.startswith("1,"))
     assert abs(float(amp1.split(",")[1])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "preset,want",
+    [("theta90", 0.500023), ("theta63", 0.499891), ("theta02", 0.376181), ("nbar10", 0.500000)],
+)
+def test_cat_state_prints_herald_probability(capsys, preset, want):
+    assert main(["cat-state", "--config", str(CONFIGS / f"{preset}.cfg")]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("herald_probability"))
+    got = float(line.split("=")[1])
+    cfg = parse_config(CONFIGS / f"{preset}.cfg")
+    assert abs(got - published_branch_weight(cfg.cat) / 2.0) < 1e-10
+    assert got == pytest.approx(want, abs=5e-7)
+
+
+@pytest.mark.parametrize("command", ["cat-state", "quadrature", "wigner-oracle", "reconstruct"])
+def test_vanishing_minus_cat_exits_6(tmp_path, capsys, command):
+    # r sin(theta) = 8.4e-9: the minus45 outcome has probability 7.08e-17
+    config = write_config(tmp_path, "r = 1e-8\ntheta = 1.0\nsign = minus\nn_max = 10\n")
+    argv = [command, "--config", str(config)]
+    code = main(argv if command == "cat-state" else argv + ["--out", str(tmp_path)])
+    assert code == 6
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if command != "wigner-oracle":
+        assert captured.err == "error: projection onto minus45 has probability 7.08e-17\n"
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_ghz_output(capsys):

@@ -117,10 +117,11 @@ def test_marginal_consistency_with_wigner():
             assert abs(marginal - direct[k]) < 1e-6
 
 
-def test_build_table_shape_and_defaults():
+def test_build_table_shape():
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 50)
-    table = build_table(state)
+    table = build_table(state, default_phases(), default_x_grid(5.0))
     assert table.phases.size == 11
+    assert table.x_grid.size == 1201
     assert table.density.shape == (11, table.x_grid.size)
     assert np.all(table.density >= 0.0)
 
