@@ -18,6 +18,8 @@ from .errors import InvalidArgument, ZeroNorm
 from .fock import FockVector, coherent_state
 
 _SQRT2 = math.sqrt(2.0)
+# make_cat and the closed forms (on norm / 4) raise ZeroNorm below this probability.
+_HERALD_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def conditional_project(
         raise InvalidArgument("outcome must be 'plus45' or 'minus45'")
     raw = (state.amp_h.amplitudes + sign * state.amp_v.amplitudes) / _SQRT2
     prob = float(np.sum(np.abs(raw) ** 2))
-    if prob < 1e-14:
+    if prob < _HERALD_FLOOR:
         raise ZeroNorm(f"projection onto {outcome} has probability {prob:.2e}")
     return FockVector(raw / math.sqrt(prob)), prob
 
@@ -111,12 +113,6 @@ def _herald(spec: CatSpec, n_max: int) -> tuple[FockVector, float]:
 def make_cat(spec: CatSpec, n_max: int) -> FockVector:
     """Normalized |r e^{i theta}> +/- |r e^{-i theta}>, heralded by the circuit."""
     return _herald(spec, n_max)[0]
-
-
-def cat_branch_overlap(spec: CatSpec) -> complex:
-    """<r e^{-i theta}|r e^{i theta}> in closed form."""
-    r, theta = spec.r, spec.theta
-    return complex(np.exp(r * r * (np.exp(2j * theta) - 1.0)))
 
 
 class BellState(Enum):

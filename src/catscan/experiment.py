@@ -147,7 +147,7 @@ def find_minimum(
 ) -> MinimumReport:
     """Locate a Wigner minimum by dense scan plus parabolic refinement.
 
-    target is a callable f(u_array, v_array) -> array in phys convention,
+    target is a callable f(u_column, v_row) -> grid in phys convention,
     scanned over the whole region; a caller after a local minimum passes the
     window around it as the region. RegionError is raised when the scan
     minimum sits on the region boundary, since the quadratic refinement (and
@@ -161,9 +161,7 @@ def find_minimum(
 
     us = np.arange(re_lo, re_hi + step / 2.0, step)
     vs = np.arange(im_lo, im_hi + step / 2.0, step)
-    uu = np.broadcast_to(us[:, None], (us.size, vs.size)).copy()
-    vv = np.broadcast_to(vs[None, :], (us.size, vs.size)).copy()
-    vals = np.asarray(target(uu, vv), dtype=np.float64)
+    vals = np.asarray(target(us[:, None], vs[None, :]), dtype=np.float64)
 
     iu, iv = np.unravel_index(np.argmin(vals), vals.shape)
     on_edge = iu in (0, vals.shape[0] - 1) or (

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgument, SymmetryViolation
 from .quadrature import QuadratureTable, build_table
-from .wigner import WignerGrid
+from .wigner import WignerGrid, _pair_sum, _superposition
 
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
 # to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
@@ -214,13 +214,20 @@ def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
     return tables
 
 
+def _points_shape(u: np.ndarray, v: np.ndarray) -> tuple:
+    """The shape re and im points broadcast to; InvalidArgument if they do not."""
+    try:
+        return np.broadcast_shapes(u.shape, v.shape)
+    except ValueError:
+        raise InvalidArgument(f"re {u.shape} and im {v.shape} points do not broadcast") from None
+
+
 def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
     """Each slice's term of W (phys convention): shape (slices,) + point shape."""
-    re_arr = np.atleast_1d(np.asarray(re_pts, dtype=np.float64))
-    im_arr = np.atleast_1d(np.asarray(im_pts, dtype=np.float64))
-    if re_arr.shape != im_arr.shape:
-        raise InvalidArgument("re and im point arrays must have the same shape")
-    if not (np.all(np.isfinite(re_arr)) and np.all(np.isfinite(im_arr))):
+    u = np.atleast_1d(np.asarray(re_pts, dtype=np.float64))
+    v = np.atleast_1d(np.asarray(im_pts, dtype=np.float64))
+    shape = _points_shape(u, v)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise InvalidArgument("reconstruction points must be finite")
     phases, x, density = table.phases, table.x_grid, table.density
     phase_weights = _phase_weights(phases)
@@ -231,8 +238,6 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     steps = np.diff(x)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
         raise InvalidArgument("x grid must be uniform")
-    u = re_arr.ravel()
-    v = im_arr.ravel()
     kc = config.cutoff_kc
     n_nodes = _checked_node_count(kc * (float(x[-1]) + float(np.max(np.hypot(u, v), initial=0.0))))
     k, k_weights, cos_table, sin_table = _node_tables(x.tobytes(), kc, n_nodes)
@@ -242,15 +247,15 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     re_part = ((density + mirrored)[:, half:] @ cos_table) * scale
     im_part = ((density - mirrored)[:, half:] @ sin_table) * scale
     # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
-    terms = np.empty((phases.size, u.size))
+    terms = np.empty(phases.shape + shape)
     for i, phi in enumerate(phases):
         arg = np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)
         terms[i] = np.cos(arg) @ re_part[i] + np.sin(arg) @ im_part[i]
-    return terms.reshape(phases.shape + re_arr.shape)
+    return terms
 
 
 def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """Reconstructed W (phys convention) at arbitrary phase-space points."""
+    """Reconstructed W (phys convention) at points re_pts, im_pts (broadcast)."""
     terms = _back_project(table, re_pts, im_pts, config)
     # slice by slice, in phase order: np.sum would pair the terms differently
     out = np.zeros(terms.shape[1:])
@@ -284,9 +289,7 @@ def reconstruct(
     """Dense reconstruction over a rectangular grid, phys convention."""
     re_axis = np.asarray(re_axis, dtype=np.float64)
     im_axis = np.asarray(im_axis, dtype=np.float64)
-    uu = np.broadcast_to(re_axis[:, None], (re_axis.size, im_axis.size))
-    vv = np.broadcast_to(im_axis[None, :], (re_axis.size, im_axis.size))
-    values = reconstruct_at(table, uu, vv, config)
+    values = reconstruct_at(table, re_axis[:, None], im_axis[None, :], config)
     return WignerGrid(re_axis, im_axis, values, "phys")
 
 
@@ -295,32 +298,29 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
 
     For sum_i c_i |b_i> (terms as from cat_wigner_terms), slice phi has
     P(k) = <D(xi)> with xi = i k e^{i phi} / 2 (Cahill & Glauber 1969), from
-    <b_j|D(xi)|b_i> = exp(b_j* (b_i + xi) - xi* b_i - (|b_i|^2 + |b_j|^2 + |xi|^2) / 2).
+    <b_j|D(xi)|b_i> = <b_j|b_i> exp(conj(b_j) xi - conj(xi) b_i - |xi|^2 / 2).
     With no Fock truncation, x grid or spline, the engine differs from this
     only by x discretisation, and this from the true W only by the cutoff
-    and the phase sampling. Phys convention.
+    and the phase sampling. Points broadcast as in reconstruct_at. Phys
+    convention.
     """
+    coeffs, mean, offsets, overlap, norm = _superposition(terms)
     phases = np.asarray(phases, dtype=np.float64)
     u = np.asarray(re_pts, dtype=np.float64)
     v = np.asarray(im_pts, dtype=np.float64)
+    out = np.zeros(_points_shape(u, v))
     kc = config.cutoff_kc
     reach = max(abs(b) for _, b in terms) + float(np.max(np.hypot(u, v), initial=0.0))
     nodes, weights = np.polynomial.legendre.leggauss(2 * _checked_node_count(kc * reach))
     k = 0.5 * kc * (nodes + 1.0)
+    xi = 0.5j * np.multiply.outer(np.exp(1j * phases), k)
 
-    def expectation(xi):
-        return sum(
-            ci * np.conj(cj) * np.exp(
-                np.conj(bj) * (bi + xi) - np.conj(xi) * bi
-                - (abs(bi) ** 2 + abs(bj) ** 2 + np.abs(xi) ** 2) / 2.0
-            )
-            for ci, bi in terms
-            for cj, bj in terms
-        )
+    def exponent(i, j):
+        # with b_i = m - e_i, the rest of the exponent is common to every pair
+        return overlap[i, j] + offsets[i] * xi.conj() - np.conj(offsets[j]) * xi
 
-    char = expectation(0.5j * np.multiply.outer(np.exp(1j * phases), k)) / expectation(0.0)
+    char = _pair_sum(coeffs, exponent, 2j * (np.conj(mean) * xi).imag - 0.5 * np.abs(xi) ** 2) / norm
     char *= _phase_weights(phases)[:, None] * (kc * weights * k) / (4.0 * math.pi**2)
-    out = np.zeros(u.shape)
     for phi, row in zip(phases, char):
         out += (np.exp(-1j * np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)) @ row).real
     return float(out) if out.ndim == 0 else out

@@ -8,12 +8,13 @@ the reference minima below pin that factor empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CatSpec, cat_branch_overlap
+from .circuit import _HERALD_FLOOR, CatSpec
 from .errors import InvalidArgument, ZeroNorm
 from .fock import FockVector, displace, parity_expectation
 from .quadrature import _read_long_csv, _write_long_csv
@@ -81,43 +82,54 @@ def cat_wigner_terms(spec: CatSpec) -> list[tuple[complex, complex]]:
     ]
 
 
+def _pair_sum(coeffs, exponent, base=0.0):
+    """sum_ij c_i conj(c_j) exp(base + E_ij), E_ij = exponent(i, j), as e^{base + R}
+    (|sum_i c_i|^2 + sum_ij c_i conj(c_j) expm1(E_ij - R)), R = max_ij Re E_ij per
+    point: close exponents keep their digits and none overflows."""
+    pairs = [(i, j) for i in range(coeffs.size) for j in range(coeffs.size)]
+    peak = functools.reduce(np.maximum, (exponent(i, j).real for i, j in pairs))
+    total = np.full(np.shape(peak), abs(coeffs.sum()) ** 2, dtype=np.complex128)
+    for i, j in pairs:
+        term = np.expm1(exponent(i, j) - peak)
+        term *= coeffs[i] * np.conj(coeffs[j])
+        total += term
+    total *= np.exp(base + peak)
+    return total
+
+
+def _superposition(terms):
+    """c, the branches' mean m, e_i = m - b_i, ln<b_j|b_i> = -|b_i - b_j|^2 / 2
+    + i Im(conj(b_j) (b_i - b_j)) and N = sum_ij c_i conj(c_j) <b_j|b_i>. A cat is
+    heralded with probability N / 4: below the circuit's floor, ZeroNorm."""
+    if not terms:
+        raise InvalidArgument("need at least one term")
+    coeffs = np.array([c for c, _ in terms], dtype=np.complex128)
+    branches = np.array([b for _, b in terms], dtype=np.complex128)
+    diff = branches[:, None] - branches[None, :]
+    overlap = -0.5 * np.abs(diff) ** 2 + 1j * (branches.conj()[None, :] * diff).imag
+    norm = float(_pair_sum(coeffs, lambda i, j: overlap[i, j]).real)
+    if norm / 4.0 < _HERALD_FLOOR:
+        raise ZeroNorm(f"superposition norm / 4 = {norm / 4.0:.2e} is below {_HERALD_FLOOR:.0e}")
+    mean = branches.mean()
+    return coeffs, mean, mean - branches, overlap, norm
+
+
 def wigner_superposition(terms, alpha):
     """W(alpha) of a normalized superposition of coherent states, phys convention.
 
-    W = (2/(pi N)) sum_ij c_i conj(c_j)
-        exp(-2|a|^2 + 2 b_i conj(a) + 2 conj(b_j) a - b_i conj(b_j)
-            - |b_i|^2/2 - |b_j|^2/2)
+    W = (2/(pi N)) sum_ij c_i conj(c_j) <b_j|b_i> exp(-2 (alpha - b_i) conj(alpha - b_j))
     with N = sum_ij c_i conj(c_j) <b_j|b_i>. Accepts scalar or array alpha.
     """
-    if not terms:
-        raise InvalidArgument("need at least one term")
-    alpha_arr = np.asarray(alpha, dtype=np.complex128)
-    norm = 0.0 + 0.0j
-    for ci, bi in terms:
-        for cj, bj in terms:
-            norm += (
-                ci
-                * np.conj(cj)
-                * np.exp(-0.5 * abs(bi) ** 2 - 0.5 * abs(bj) ** 2 + np.conj(bj) * bi)
-            )
-    if abs(norm) <= 1e-14:
-        raise ZeroNorm(f"superposition norm {abs(norm):.2e} vanishes")
-    acc = np.zeros(alpha_arr.shape, dtype=np.complex128)
-    amag2 = np.abs(alpha_arr) ** 2
-    for ci, bi in terms:
-        for cj, bj in terms:
-            acc += (ci * np.conj(cj)) * np.exp(
-                -2.0 * amag2
-                + 2.0 * bi * np.conj(alpha_arr)
-                + 2.0 * np.conj(bj) * alpha_arr
-                - bi * np.conj(bj)
-                - 0.5 * abs(bi) ** 2
-                - 0.5 * abs(bj) ** 2
-            )
-    out = (2.0 / math.pi) * (acc / norm).real
-    if out.ndim == 0:
-        return float(out)
-    return out
+    coeffs, mean, offsets, overlap, norm = _superposition(terms)
+    a = np.asarray(alpha, dtype=np.complex128) - mean
+    fixed = overlap - 2.0 * np.multiply.outer(offsets, offsets.conj())
+
+    def exponent(i, j):
+        # alpha - b_i = a + e_i, and -2 |a|^2 is common to every pair
+        return fixed[i, j] - 2.0 * (offsets[i] * a.conj() + np.conj(offsets[j]) * a)
+
+    out = (2.0 / math.pi) * _pair_sum(coeffs, exponent, -2.0 * np.abs(a) ** 2).real / norm
+    return float(out) if out.ndim == 0 else out
 
 
 def wigner_displaced_parity(state: FockVector, alpha: complex) -> float:
@@ -164,14 +176,12 @@ def published_branch_weight(spec: CatSpec) -> float:
     """Normalization ratio of the as-published values to the exact ones.
 
     The reference values scale the two-branch superposition as if the
-    branches were orthogonal, so they carry an extra factor
-    1 + sign * Re<b2|b1> relative to the properly normalized W. The factor
-    is twice the probability of the diagonal outcome that heralds the cat
-    (make_cat). It is 0.7524 at theta=0.2 and within 2.3e-4 of 1 for the
-    other anchors.
+    branches were orthogonal, so they carry an extra factor N / 2 =
+    1 + sign * Re<b2|b1> (N the superposition norm) relative to the properly
+    normalized W: twice the probability of the outcome that heralds the cat
+    (make_cat). It is 0.7524 at theta=0.2 and within 2.3e-4 of 1 elsewhere.
     """
-    sign = 1.0 if spec.sign == "plus" else -1.0
-    return 1.0 + sign * cat_branch_overlap(spec).real
+    return _superposition(cat_wigner_terms(spec))[-1] / 2.0
 
 
 def calibrate_display_scale() -> dict:

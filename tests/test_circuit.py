@@ -11,7 +11,6 @@ from catscan import (
     ZeroNorm,
     append_diagonal_photon,
     bell_state,
-    cat_branch_overlap,
     coherent_state,
     conditional_project,
     diagonal_basis_amplitudes,
@@ -21,6 +20,7 @@ from catscan import (
     make_cat,
     make_ghz,
     measurement_probabilities,
+    published_branch_weight,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -57,11 +57,12 @@ def test_conditional_probabilities_sum_to_one(theta):
 
 @pytest.mark.parametrize("theta", [0.2, 1.11, math.pi / 2])
 def test_conditional_probability_closed_form(theta):
-    # p(+/-45) = (1 +/- Re<b2|b1>)/2 for branches b1 = r e^{i t}, b2 = r e^{-i t}
+    # p(+/-45) = (1 +/- Re<b2|b1>)/2 = N/4 for branches b1 = r e^{i t}, b2 = r e^{-i t}
     hybrid = entangle_kerr(SQRT5 * np.exp(-1j * theta), 2.0 * theta, 50)
-    _, p_plus = conditional_project(hybrid, "plus45")
-    overlap = cat_branch_overlap(CatSpec(SQRT5, theta))
-    assert p_plus == pytest.approx(0.5 * (1.0 + overlap.real), abs=1e-10)
+    for outcome, sign in (("plus45", "plus"), ("minus45", "minus")):
+        _, prob = conditional_project(hybrid, outcome)
+        weight = published_branch_weight(CatSpec(SQRT5, theta, sign))
+        assert prob == pytest.approx(weight / 2.0, abs=1e-10)
 
 
 def test_conditional_project_bad_outcome():
@@ -94,12 +95,12 @@ def test_make_cat_matches_coherent_superposition(theta, sign):
     assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
 
-def test_cat_branch_overlap_matches_inner_product():
-    spec = CatSpec(SQRT5, 0.9)
+def test_published_branch_weight_matches_inner_product():
     numeric = inner_product(
         coherent_state(SQRT5 * np.exp(-0.9j), 70), coherent_state(SQRT5 * np.exp(0.9j), 70)
     )
-    assert abs(cat_branch_overlap(spec) - numeric) < 1e-12
+    assert abs(published_branch_weight(CatSpec(SQRT5, 0.9)) - (1.0 + numeric.real)) < 1e-12
+    assert abs(published_branch_weight(CatSpec(SQRT5, 0.9, "minus")) - (1.0 - numeric.real)) < 1e-12
 
 
 def test_bell_state_labels_and_norms():

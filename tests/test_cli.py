@@ -155,18 +155,45 @@ def test_cat_state_prints_herald_probability(capsys, preset, want):
     assert got == pytest.approx(want, abs=5e-7)
 
 
-@pytest.mark.parametrize("command", ["cat-state", "quadrature", "wigner-oracle", "reconstruct"])
-def test_vanishing_minus_cat_exits_6(tmp_path, capsys, command):
-    # r sin(theta) = 8.4e-9: the minus45 outcome has probability 7.08e-17
-    config = write_config(tmp_path, "r = 1e-8\ntheta = 1.0\nsign = minus\nn_max = 10\n")
+@pytest.mark.parametrize(
+    "cat,prob",
+    [
+        # r sin(theta) = 8.4e-9
+        ("r = 1e-8\ntheta = 1.0", "7.08e-17"),
+        # N = 2.56e-14: above 1e-14, yet N / 4 is below the herald floor
+        ("r = 8e-8\ntheta = 1.5707963267948966", "6.40e-15"),
+    ],
+    ids=["r1e-8", "r8e-8"],
+)
+@pytest.mark.parametrize(
+    "command", ["cat-state", "quadrature", "wigner-oracle", "reconstruct", "noise-study"]
+)
+def test_vanishing_minus_cat_exits_6(tmp_path, capsys, command, cat, prob):
+    # the minus45 outcome has probability prob, below the 1e-14 floor
+    config = write_config(tmp_path, f"{cat}\nsign = minus\nn_max = 10\nnoise_magnitude = 0.25\n")
     argv = [command, "--config", str(config)]
     code = main(argv if command == "cat-state" else argv + ["--out", str(tmp_path)])
     assert code == 6
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    if command != "wigner-oracle":
-        assert captured.err == "error: projection onto minus45 has probability 7.08e-17\n"
+    if command == "wigner-oracle":
+        # the closed form's norm is 4 x the heralding probability
+        assert captured.err == f"error: superposition norm / 4 = {prob} is below 1e-14\n"
+    else:
+        assert captured.err == f"error: projection onto minus45 has probability {prob}\n"
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command", ["cat-state", "wigner-oracle"])
+def test_minus_cat_just_above_floor_exits_0(tmp_path, capsys, command):
+    # r = 1.2e-7 at theta = pi/2: heralding probability 1.44e-14
+    config = write_config(
+        tmp_path,
+        "r = 1.2e-7\ntheta = 1.5707963267948966\nsign = minus\nn_max = 10\nwigner_range = 1.0\n",
+    )
+    argv = [command, "--config", str(config)]
+    assert main(argv if command == "cat-state" else argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_ghz_output(capsys):

@@ -407,6 +407,26 @@ def test_engine_matches_closed_form_of_an_asymmetric_state(monkeypatch):
     assert np.max(np.abs(doubled - oracle)) < 1e-13
 
 
+def test_points_broadcast_through_engine_and_closed_form():
+    spec = CatSpec(SQRT5, 1.11)
+    table = extend_phases(THETA111_TABLE)
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    column, row = SQUARE_AXIS[:, None], SQUARE_AXIS[None, :]
+    engine = reconstruct_at(table, column, row, cfg)
+    assert np.max(np.abs(engine - reconstruct_at(table, SQUARE_U, SQUARE_V, cfg))) <= 1e-15
+    assert isinstance(reconstruct_at(table, 0.8954, 0.0, cfg), float)
+    terms = cat_wigner_terms(spec)
+    oracle = reconstruct_closed_form(terms, table.phases, column, row, cfg)
+    want = reconstruct_closed_form(terms, table.phases, SQUARE_U, SQUARE_V, cfg)
+    assert np.max(np.abs(oracle - want)) <= 1e-15
+    for evaluate in (
+        lambda u, v: reconstruct_at(table, u, v, cfg),
+        lambda u, v: reconstruct_closed_form(terms, table.phases, u, v, cfg),
+    ):
+        with pytest.raises(InvalidArgument):
+            evaluate(np.zeros(3), np.zeros(4))
+
+
 def test_closed_form_returns_the_shape_of_its_points():
     spec = CatSpec(SQRT5, 1.11)
     phases = extend_phases(THETA111_TABLE).phases

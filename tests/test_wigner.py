@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catscan import (
@@ -64,6 +64,48 @@ def test_cat_normalization_integral(r, theta, sign):
 def test_zero_norm_superposition_rejected():
     with pytest.raises(ZeroNorm):
         wigner_superposition([(1.0, 0.5), (-1.0, 0.5)], 0.0)
+
+
+@pytest.mark.parametrize("r", [1.2e-7, 1e-6])
+def test_vanishing_minus_cat_approaches_one_photon(r):
+    # |ir> - |-ir> -> |1> as r -> 0; the exact W differs from the limit by O(r^2)
+    terms = cat_wigner_terms(CatSpec(r, math.pi / 2, "minus"))
+    axis = np.linspace(-2.5, 2.5, 41)
+    alpha = axis[:, None] + 1j * axis[None, :]
+    want = TWO_OVER_PI * (4.0 * np.abs(alpha) ** 2 - 1.0) * np.exp(-2.0 * np.abs(alpha) ** 2)
+    assert np.max(np.abs(wigner_superposition(terms, alpha) - want)) < 1e-9
+
+
+def test_far_branches_neither_overflow_nor_warn():
+    # exponents reach thousands across this grid; warnings are errors in the suite
+    axis = np.linspace(-40.0, 40.0, 801)
+    grid = evaluate_grid(cat_wigner_terms(CatSpec(31.6, 1.2)), axis, axis)
+    assert np.all(np.isfinite(grid.values))
+    assert np.max(np.abs(grid.values)) <= TWO_OVER_PI
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    log_gap=st.floats(min_value=-8.0, max_value=-2.0),
+    theta=st.floats(min_value=0.05, max_value=math.pi / 2),
+    u=st.floats(min_value=-2.0, max_value=2.0),
+    v=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_near_degenerate_minus_cat_matches_circuit(log_gap, theta, u, v):
+    # r sin(theta) = 10^log_gap; the herald probability is -Re expm1(ln<b2|b1>) / 2
+    r = 10.0**log_gap / math.sin(theta)
+    spec = CatSpec(r, theta, "minus")
+    prob = -np.expm1(r * r * complex(math.cos(2.0 * theta) - 1.0, math.sin(2.0 * theta))).real / 2.0
+    assume(abs(prob / 1e-14 - 1.0) > 1e-6)
+    try:
+        # n_max 40 leaves room to displace |1> by up to 2 sqrt 2 without leaking
+        state = make_cat(spec, 40)
+    except ZeroNorm:
+        with pytest.raises(ZeroNorm):
+            wigner_superposition(cat_wigner_terms(spec), 0.0)
+        return
+    closed = wigner_superposition(cat_wigner_terms(spec), complex(u, v))
+    assert abs(closed - wigner_displaced_parity(state, complex(u, v))) < 1e-8
 
 
 def test_closed_form_matches_displaced_parity():
