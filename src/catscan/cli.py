@@ -54,7 +54,7 @@ PHASE_COUNT_LIMIT = 361
 NOISE_RUNS_LIMIT = 10_000
 # 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
 WIGNER_AXIS_LIMIT = 4_001
-# reconstruct scans its search region at SCAN_STEP: 40,401 points is a
+# reconstruct and noise-study scan the search region at SCAN_STEP: 40,401 points is a
 # 1 x 1 window, or a span of 202 on one axis.
 SEARCH_POINT_LIMIT = 40_401
 
@@ -103,7 +103,7 @@ class ExperimentConfig:
             raise InvalidArgument("wigner grid spec requires positive range and step")
         axis_points = 2.0 * self.wigner_range / self.wigner_step + 1.0
         _check_grid_size("wigner grid axis", axis_points, WIGNER_AXIS_LIMIT)
-        # only reconstruct scans the region, and find_minimum rejects a degenerate one
+        # reconstruct and probe-less noise-study scan it; find_minimum rejects a degenerate one
         (re_lo, re_hi), (im_lo, im_hi) = self.search_region
         re_points = max(re_hi - re_lo, 0.0) / SCAN_STEP + 1.0
         im_points = max(im_hi - im_lo, 0.0) / SCAN_STEP + 1.0
@@ -321,6 +321,7 @@ def _cmd_noise_study(args) -> int:
         n_max=cfg.n_max,
         phases=cfg.phases(),
         x_grid=cfg.x_grid(),
+        search_region=cfg.search_region,
     )
     path = _out_path(args, "_noise.json")
     report.to_json(path)

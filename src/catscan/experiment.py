@@ -204,6 +204,7 @@ def monte_carlo_study(
     n_max: int | None = None,
     phases=None,
     x_grid=None,
+    search_region=None,
 ) -> MinimumReport:
     """Reconstruction of W at a probe point under per-slice noise.
 
@@ -212,6 +213,8 @@ def monte_carlo_study(
     slice i's share (slice_terms). One back-projection pass gives every W_i;
     value is their sum, and each run applies the factors perturb draws.
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
+    Without a probe, the probe is find_minimum's location in search_region at
+    SCAN_STEP; with no region either, in u in [0, 2r], v = 0, at step 0.01.
     """
     scale = convention_factor(convention)
     if n_max is None:
@@ -225,11 +228,14 @@ def monte_carlo_study(
         recon_config = ReconstructionConfig.for_mean_photon(cat.mean_photon)
     table = build_table(state, phases, x_grid)
     if probe_point is None:
+        region, step = search_region, SCAN_STEP
+        if region is None:
+            # the library default: u in [0, 2r] at 0.01, half the kernel work
+            # of the CLI's default scan of [0.02, 2r] at SCAN_STEP
+            region, step = ((0.0, 2.0 * cat.r), (0.0, 0.0)), 0.01
         clean_ext = extend_phases(table)
         report = find_minimum(
-            lambda u, v: reconstruct_at(clean_ext, u, v, recon_config),
-            ((0.0, 2.0 * cat.r), (0.0, 0.0)),
-            step=0.01,
+            lambda u, v: reconstruct_at(clean_ext, u, v, recon_config), region, step
         )
         probe_point = report.location
     u0, v0 = float(probe_point[0]), float(probe_point[1])

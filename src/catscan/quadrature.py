@@ -25,8 +25,8 @@ class QuadratureTable:
     density: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.float64)
-        x_grid = np.asarray(self.x_grid, dtype=np.float64)
+        phases = _grid_axis(self.phases)
+        x_grid = _grid_axis(self.x_grid)
         density = np.asarray(self.density, dtype=np.float64)
         if density.shape != (phases.size, x_grid.size):
             raise InvalidArgument(
@@ -37,9 +37,6 @@ class QuadratureTable:
             raise InvalidArgument("density contains non-finite entries")
         if np.min(density) < -1e-12:
             raise InvalidArgument(f"density has negative entries (min {np.min(density):.3e})")
-        for axis in (phases, x_grid):
-            if axis.size > 1 and np.any(np.diff(axis) <= 0):
-                raise InvalidArgument("phases and x_grid must be strictly increasing")
         for arr in (phases, x_grid, density):
             arr.setflags(write=False)
         object.__setattr__(self, "phases", phases)
@@ -53,6 +50,14 @@ class QuadratureTable:
     def from_csv(cls, path) -> "QuadratureTable":
         with open(path, newline="") as fh:
             return cls(*_read_long_csv(fh, ["phi", "x", "p"]))
+
+
+def _grid_axis(values) -> np.ndarray:
+    """values as a float grid axis, which must be 1-d, non-empty and strictly increasing."""
+    axis = np.asarray(values, dtype=np.float64)
+    if axis.ndim != 1 or axis.size < 1 or not np.all(np.diff(axis) > 0):
+        raise InvalidArgument("grid axes must be 1-d, non-empty and strictly increasing")
+    return axis
 
 
 def _write_long_csv(path, header: str, a_axis, b_axis, values, preamble: str = "") -> None:
@@ -120,9 +125,9 @@ def quadrature_wavefunctions(n_max: int, x_grid: np.ndarray) -> np.ndarray:
     orthonormal under the trapezoid rule as long as the classical turning
     point sqrt(n + 1/2) stays inside the grid.
     """
-    x_grid = np.asarray(x_grid, dtype=np.float64)
-    if x_grid.ndim != 1 or x_grid.size < 2 or np.any(np.diff(x_grid) <= 0):
-        raise InvalidArgument("x_grid must be strictly increasing")
+    x_grid = _grid_axis(x_grid)
+    if x_grid.size < 2:
+        raise InvalidArgument("x_grid needs at least two points")
     q = math.sqrt(2.0) * x_grid
     h = np.empty((n_max + 1, x_grid.size))
     h[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x_grid**2)

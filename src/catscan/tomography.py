@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgument, SymmetryViolation
-from .quadrature import QuadratureTable, build_table
+from .quadrature import QuadratureTable, _grid_axis, build_table
 from .wigner import WignerGrid, _pair_sum, _superposition
 
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
@@ -143,6 +143,13 @@ def _checked_node_count(omega: float) -> int:
     return n_nodes
 
 
+def _k_rule(kc: float, n_nodes: int):
+    """Gauss-Legendre nodes k on [0, kc] and their weights 2 k w_k."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    k = 0.5 * kc * (nodes + 1.0)
+    return k, kc * weights * k
+
+
 def _spline_matrix(n: int) -> np.ndarray:
     """S, mapping values y on n uniform nodes to their not-a-knot cubic spline
     on the 2n - 1 nodes and midpoints, in order.
@@ -190,9 +197,7 @@ def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
     built on the last 2 _SPLINE_EDGE nodes (or on the whole grid if shorter).
     """
     x = np.frombuffer(x_bytes)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    k = 0.5 * kc * (nodes + 1.0)
-    k_weights = kc * weights * k
+    k, k_weights = _k_rule(kc, n_nodes)
     h = (x[-1] - x[0]) / (x.size - 1)
     t = k * h
     factor = h * (
@@ -214,23 +219,44 @@ def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
     return tables
 
 
-def _points_shape(u: np.ndarray, v: np.ndarray) -> tuple:
-    """The shape re and im points broadcast to; InvalidArgument if they do not."""
+def _points(re_pts, im_pts):
+    """Float points, at least 1-d, and max|(u, v)|; they must broadcast and be finite."""
+    u = np.atleast_1d(np.asarray(re_pts, dtype=np.float64))
+    v = np.atleast_1d(np.asarray(im_pts, dtype=np.float64))
     try:
-        return np.broadcast_shapes(u.shape, v.shape)
+        np.broadcast_shapes(u.shape, v.shape)
     except ValueError:
         raise InvalidArgument(f"re {u.shape} and im {v.shape} points do not broadcast") from None
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise InvalidArgument("reconstruction points must be finite")
+    return u, v, float(np.max(np.hypot(u, v), initial=0.0))
+
+
+def _phase_sum(re_p, im_p, phases, k, k_weights, u, v):
+    """Each slice's (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from Re P
+    and Im P at the k nodes (slices x nodes): shape (slices,) + point shape."""
+    scale = _phase_weights(phases)[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
+    # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
+    terms = np.empty(phases.shape + np.broadcast_shapes(u.shape, v.shape))
+    for i, phi in enumerate(phases):
+        arg = np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)
+        terms[i] = np.cos(arg) @ (re_p[i] * scale[i]) + np.sin(arg) @ (im_p[i] * scale[i])
+    return terms
+
+
+def _slice_total(terms, re_pts, im_pts):
+    """Terms summed in phase order (np.sum would pair them differently): a float
+    when both point inputs are 0-d, else an array of their broadcast shape."""
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return float(out[0]) if np.ndim(re_pts) == np.ndim(im_pts) == 0 else out
 
 
 def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
     """Each slice's term of W (phys convention): shape (slices,) + point shape."""
-    u = np.atleast_1d(np.asarray(re_pts, dtype=np.float64))
-    v = np.atleast_1d(np.asarray(im_pts, dtype=np.float64))
-    shape = _points_shape(u, v)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise InvalidArgument("reconstruction points must be finite")
-    phases, x, density = table.phases, table.x_grid, table.density
-    phase_weights = _phase_weights(phases)
+    u, v, reach = _points(re_pts, im_pts)
+    x, density = table.x_grid, table.density
     if x.size < 4:
         raise InvalidArgument(f"x grid needs at least 4 points, got {x.size}")
     if not np.allclose(x, -x[::-1], rtol=0, atol=1e-12):
@@ -239,31 +265,18 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
         raise InvalidArgument("x grid must be uniform")
     kc = config.cutoff_kc
-    n_nodes = _checked_node_count(kc * (float(x[-1]) + float(np.max(np.hypot(u, v), initial=0.0))))
+    n_nodes = _checked_node_count(kc * (float(x[-1]) + reach))
     k, k_weights, cos_table, sin_table = _node_tables(x.tobytes(), kc, n_nodes)
     half = x.size // 2
     mirrored = density[:, ::-1]
-    scale = phase_weights[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
-    re_part = ((density + mirrored)[:, half:] @ cos_table) * scale
-    im_part = ((density - mirrored)[:, half:] @ sin_table) * scale
-    # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
-    terms = np.empty(phases.shape + shape)
-    for i, phi in enumerate(phases):
-        arg = np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)
-        terms[i] = np.cos(arg) @ re_part[i] + np.sin(arg) @ im_part[i]
-    return terms
+    re_p = (density + mirrored)[:, half:] @ cos_table
+    im_p = (density - mirrored)[:, half:] @ sin_table
+    return _phase_sum(re_p, im_p, table.phases, k, k_weights, u, v)
 
 
 def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
     """Reconstructed W (phys convention) at points re_pts, im_pts (broadcast)."""
-    terms = _back_project(table, re_pts, im_pts, config)
-    # slice by slice, in phase order: np.sum would pair the terms differently
-    out = np.zeros(terms.shape[1:])
-    for term in terms:
-        out += term
-    if np.isscalar(re_pts) and np.isscalar(im_pts):
-        return float(out[0])
-    return out
+    return _slice_total(_back_project(table, re_pts, im_pts, config), re_pts, im_pts)
 
 
 def slice_terms(table: QuadratureTable, u: float, v: float, config: ReconstructionConfig):
@@ -287,8 +300,8 @@ def reconstruct(
     config: ReconstructionConfig,
 ) -> WignerGrid:
     """Dense reconstruction over a rectangular grid, phys convention."""
-    re_axis = np.asarray(re_axis, dtype=np.float64)
-    im_axis = np.asarray(im_axis, dtype=np.float64)
+    re_axis = _grid_axis(re_axis)
+    im_axis = _grid_axis(im_axis)
     values = reconstruct_at(table, re_axis[:, None], im_axis[None, :], config)
     return WignerGrid(re_axis, im_axis, values, "phys")
 
@@ -299,20 +312,17 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
     For sum_i c_i |b_i> (terms as from cat_wigner_terms), slice phi has
     P(k) = <D(xi)> with xi = i k e^{i phi} / 2 (Cahill & Glauber 1969), from
     <b_j|D(xi)|b_i> = <b_j|b_i> exp(conj(b_j) xi - conj(xi) b_i - |xi|^2 / 2).
-    With no Fock truncation, x grid or spline, the engine differs from this
-    only by x discretisation, and this from the true W only by the cutoff
-    and the phase sampling. Points broadcast as in reconstruct_at. Phys
-    convention.
+    This P(k) goes through the engine's own point rule, k rule, phase sum and
+    slice total, so with no Fock truncation, x grid or spline the engine differs
+    from this only by x discretisation, and this from the true W only by the
+    cutoff and the phase sampling. Phys convention.
     """
     coeffs, mean, offsets, overlap, norm = _superposition(terms)
     phases = np.asarray(phases, dtype=np.float64)
-    u = np.asarray(re_pts, dtype=np.float64)
-    v = np.asarray(im_pts, dtype=np.float64)
-    out = np.zeros(_points_shape(u, v))
+    u, v, reach = _points(re_pts, im_pts)
     kc = config.cutoff_kc
-    reach = max(abs(b) for _, b in terms) + float(np.max(np.hypot(u, v), initial=0.0))
-    nodes, weights = np.polynomial.legendre.leggauss(2 * _checked_node_count(kc * reach))
-    k = 0.5 * kc * (nodes + 1.0)
+    reach += max(abs(b) for _, b in terms)
+    k, k_weights = _k_rule(kc, 2 * _checked_node_count(kc * reach))
     xi = 0.5j * np.multiply.outer(np.exp(1j * phases), k)
 
     def exponent(i, j):
@@ -320,7 +330,5 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
         return overlap[i, j] + offsets[i] * xi.conj() - np.conj(offsets[j]) * xi
 
     char = _pair_sum(coeffs, exponent, 2j * (np.conj(mean) * xi).imag - 0.5 * np.abs(xi) ** 2) / norm
-    char *= _phase_weights(phases)[:, None] * (kc * weights * k) / (4.0 * math.pi**2)
-    for phi, row in zip(phases, char):
-        out += (np.exp(-1j * np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)) @ row).real
-    return float(out) if out.ndim == 0 else out
+    slices = _phase_sum(char.real, char.imag, phases, k, k_weights, u, v)
+    return _slice_total(slices, re_pts, im_pts)

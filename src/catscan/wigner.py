@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import _HERALD_FLOOR, CatSpec
 from .errors import InvalidArgument, ZeroNorm
 from .fock import FockVector, displace, parity_expectation
-from .quadrature import _read_long_csv, _write_long_csv
+from .quadrature import _grid_axis, _read_long_csv, _write_long_csv
 
 PAPER_SCALE = 2.0 * math.pi
 CONVENTIONS = ("phys", "paper")
@@ -41,8 +41,8 @@ class WignerGrid:
     convention: str = "phys"
 
     def __post_init__(self):
-        re_axis = np.asarray(self.re_axis, dtype=np.float64)
-        im_axis = np.asarray(self.im_axis, dtype=np.float64)
+        re_axis = _grid_axis(self.re_axis)
+        im_axis = _grid_axis(self.im_axis)
         values = np.asarray(self.values, dtype=np.float64)
         if self.convention not in CONVENTIONS:
             raise InvalidArgument(f"unknown convention {self.convention!r}")
@@ -140,11 +140,8 @@ def wigner_displaced_parity(state: FockVector, alpha: complex) -> float:
 
 def evaluate_grid(terms, re_axis, im_axis, convention: str = "phys") -> WignerGrid:
     """Closed-form W of coherent-superposition terms on a rectangular grid."""
-    re_axis = np.asarray(re_axis, dtype=np.float64)
-    im_axis = np.asarray(im_axis, dtype=np.float64)
-    for axis in (re_axis, im_axis):
-        if axis.ndim != 1 or axis.size < 1 or (axis.size > 1 and np.any(np.diff(axis) <= 0)):
-            raise InvalidArgument("axes must be monotone increasing")
+    re_axis = _grid_axis(re_axis)
+    im_axis = _grid_axis(im_axis)
     scale = convention_factor(convention)
     values = wigner_superposition(terms, re_axis[:, None] + 1j * im_axis[None, :])
     return WignerGrid(re_axis, im_axis, values * scale, convention)

@@ -265,6 +265,27 @@ def test_noise_study_seed_override(tmp_path):
     assert first["value"] == second["value"]
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # a minus cat's minimum at the origin: on the edge of a scan from u = 0
+        "theta = 1.5707963267948966\nsign = minus\nsearch_re_min = -0.5\nsearch_re_max = 0.5\n",
+        # the theta = 1.11 cat's local minimum near 0.155, not its absolute one at 0.895
+        "theta = 1.11\nsearch_re_min = 0.05\nsearch_re_max = 0.3\n",
+    ],
+    ids=["minus-cat-origin", "theta-1.11-local"],
+)
+def test_noise_study_without_a_probe_scans_the_search_region(tmp_path, extra):
+    text = f"r = 2.2360679774997896\n{extra}noise_magnitude = 0.25\nnoise_runs = 3\n"
+    config = write_config(tmp_path, text + "out_prefix = smoke\n")
+    assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert main(["noise-study", "--config", str(config), "--out", str(tmp_path)]) == 0
+    minimum = json.loads((tmp_path / "smoke_minimum.json").read_text())
+    study = json.loads((tmp_path / "smoke_noise.json").read_text())
+    assert study["location"] == pytest.approx(minimum["location"], abs=1e-4)
+    assert study["value"] == pytest.approx(minimum["value"], abs=1e-4)
+
+
 def test_verify_command(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

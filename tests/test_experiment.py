@@ -219,6 +219,17 @@ def test_monte_carlo_without_probe_builds_clean_table_once(monkeypatch):
     assert abs(report.location[0] - 0.3346) < 0.01
 
 
+def test_monte_carlo_without_probe_or_region_scans_0_to_2r_at_0_01():
+    spec = CatSpec(SQRT5, math.pi / 2)
+    state = make_cat(spec, default_n_max(spec.mean_photon))
+    table = extend_phases(build_table(state, default_phases(), default_x_grid(spec.mean_photon)))
+    config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
+    want = find_minimum(
+        lambda u, v: reconstruct_at(table, u, v, config), ((0.0, 2.0 * SQRT5), (0.0, 0.0)), 0.01
+    )
+    assert monte_carlo_study(spec, NoiseSpec(0.25, 2, 3)).location == want.location
+
+
 def _explicit_study(spec, noise, probe):
     """Mean and stddev of the perturb -> extend_phases -> reconstruct_at loop."""
     state = make_cat(spec, default_n_max(spec.mean_photon))

@@ -1,6 +1,9 @@
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import catscan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -22,3 +25,9 @@ def test_readme_library_sketch_runs():
     section = text[text.index("## Library sketch") :]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, f"{README.name} library sketch", "exec"), {})
+
+
+def test_numpy_warnings_still_fail_tests():
+    # pyproject.toml ignores one warning of the hypothesis plugin; the rest are errors
+    with pytest.raises(RuntimeWarning):
+        np.log(np.array(0.0))

@@ -186,6 +186,23 @@ def test_table_csv_rejects_bad_header(tmp_path):
         QuadratureTable.from_csv(path)
 
 
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, 0.5, 0.0], []])
+def test_table_axes_follow_the_grid_axis_rule(axis):
+    good = np.array([0.0, 0.5, 1.0])
+    size = len(axis)
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        QuadratureTable(axis, good, np.zeros((size, 3)))
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        QuadratureTable(good, axis, np.zeros((3, size)))
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        quadrature_wavefunctions(3, axis)
+
+
+def test_wavefunctions_need_two_points():
+    with pytest.raises(InvalidArgument, match="at least two points"):
+        quadrature_wavefunctions(3, [0.0])
+
+
 def test_wavefunctions_reject_bad_grid():
     with pytest.raises(InvalidArgument):
         quadrature_wavefunctions(10, np.array([0.0, 1.0, 0.5]))

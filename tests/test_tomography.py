@@ -443,6 +443,56 @@ def test_closed_form_returns_the_shape_of_its_points():
             reconstruct_closed_form(cat_wigner_terms(spec), phases, u, 0.0, cfg)
 
 
+POINT_CASES = {
+    "scalar": (0.8954, 0.0, None),
+    "0-d": (np.array(0.8954), np.array(0.0), None),
+    "vector x scalar": (np.array([0.1, 0.5, 0.8954]), 0.0, (3,)),
+    "column x row": (SQUARE_AXIS[:, None], SQUARE_AXIS[None, :], (13, 13)),
+}
+
+
+@pytest.mark.parametrize("evaluator", ["engine", "closed_form"])
+@pytest.mark.parametrize("case", POINT_CASES)
+def test_engine_and_closed_form_share_the_point_and_return_rule(evaluator, case):
+    """A float for two 0-d inputs, else the broadcast shape, whatever the evaluator."""
+    u, v, shape = POINT_CASES[case]
+    table = extend_phases(THETA111_TABLE)
+    terms = cat_wigner_terms(CatSpec(SQRT5, 1.11))
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+
+    def evaluate(u, v):
+        if evaluator == "engine":
+            return reconstruct_at(table, u, v, cfg)
+        return reconstruct_closed_form(terms, table.phases, u, v, cfg)
+
+    got = evaluate(u, v)
+    if shape is None:
+        assert type(got) is float
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == shape
+    flat_u, flat_v = (a.ravel() for a in np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v)))
+    assert np.max(np.abs(np.ravel(got) - evaluate(flat_u, flat_v))) <= 1e-15
+
+
+def test_closed_form_rejects_a_non_finite_point_as_such():
+    phases = extend_phases(THETA111_TABLE).phases
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    terms = cat_wigner_terms(CatSpec(SQRT5, 1.11))
+    for u, v in ((math.nan, 0.0), (np.array([0.0, math.inf]), 0.0)):
+        with pytest.raises(InvalidArgument, match="finite"):
+            reconstruct_closed_form(terms, phases, u, v, cfg)
+
+
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, 0.5, 0.0]])
+def test_reconstruct_rejects_a_repeated_or_decreasing_axis(axis):
+    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    cfg = ReconstructionConfig(cutoff_kc=8.0)
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        reconstruct(table, axis, [0.0, 0.5], cfg)
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        reconstruct(table, [0.0, 0.5], axis, cfg)
+
+
 def test_reconstruct_rejects_non_finite_points():
     table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
     cfg = ReconstructionConfig(cutoff_kc=8.0)

@@ -183,6 +183,20 @@ def test_wigner_grid_validation():
         WignerGrid(axis, axis, np.zeros((4, 4)), "natural")
 
 
+@pytest.mark.parametrize(
+    "axis", [[0.0, 0.0, 1.0], [1.0, 0.5, 0.0], [], [[0.0, 1.0]], [0.0, math.nan]]
+)
+def test_grid_axes_are_1d_non_empty_and_strictly_increasing(axis):
+    good = np.array([0.0, 0.5])
+    size = np.size(axis)
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        WignerGrid(axis, good, np.zeros((size, 2)))
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        WignerGrid(good, axis, np.zeros((2, size)))
+    with pytest.raises(InvalidArgument, match="strictly increasing"):
+        evaluate_grid([(1.0, 0.0)], axis, good)
+
+
 def test_published_branch_weights():
     # the reference values normalize the branches as if orthogonal; the
     # weight is 1 + Re<b2|b1>, far from 1 only for theta = 0.2
