@@ -56,17 +56,34 @@ class NoiseSpec:
             raise InvalidArgument(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _slice_factors(spec: NoiseSpec, run_index: int, slice_count: int) -> np.ndarray:
-    """Factors 1 + eps, eps ~ U[-m, m], of each slice in one run.
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as numpy splits an int seed (0 gives [0])."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
 
-    The draw for slice i of run r seeds a fresh generator from
-    (seed, run, slice), so runs and slices are independent and order-free.
+
+def _slice_factors(spec: NoiseSpec, runs: range, slice_count: int) -> np.ndarray:
+    """Factors 1 + eps, eps ~ U[-m, m]: one row per run in runs, one column per slice.
+
+    Entry (run, i) is 1 + np.random.default_rng([seed, run, i]).uniform(-m, m)
+    bit for bit, so runs and slices are independent and order-free. No
+    Generator is built: numpy's own SeedSequence takes the words numpy splits
+    that list into, numpy's PCG64 gives one raw draw, and the arithmetic of
+    Generator.uniform, low + (high - low) * (raw >> 11) 2^-53, runs on every
+    draw at once.
     """
-    factors = np.empty(slice_count)
-    for i in range(slice_count):
-        rng = np.random.default_rng([spec.seed, run_index, i])
-        factors[i] = 1.0 + rng.uniform(-spec.magnitude, spec.magnitude)
-    return factors
+    seed_words = _uint32_words(spec.seed)
+    raw = np.empty((len(runs), slice_count), dtype=np.uint64)
+    for row, run in zip(raw, runs):
+        head = seed_words + _uint32_words(run)
+        entropy = np.array([head + [i] for i in range(slice_count)], dtype=np.uint32)
+        row[:] = [np.random.PCG64(np.random.SeedSequence(e)).random_raw() for e in entropy]
+    m = spec.magnitude
+    return 1.0 + (-m + 2.0 * m * ((raw >> 11) * 2.0**-53))
 
 
 def perturb(table: QuadratureTable, spec: NoiseSpec, run_index: int) -> QuadratureTable:
@@ -76,7 +93,7 @@ def perturb(table: QuadratureTable, spec: NoiseSpec, run_index: int) -> Quadratu
     """
     if run_index < 0:
         raise InvalidArgument(f"run_index must be >= 0, got {run_index}")
-    factors = _slice_factors(spec, run_index, table.phases.size)
+    factors = _slice_factors(spec, range(run_index, run_index + 1), table.phases.size)[0]
     return QuadratureTable(table.phases, table.x_grid, table.density * factors[:, None])
 
 
@@ -211,7 +228,8 @@ def monte_carlo_study(
     Back projection is a sum of per-slice terms, so a run that scales slice i
     (and its mirror) by 1 + eps_i gives sum_i (1 + eps_i) W_i, where W_i is
     slice i's share (slice_terms). One back-projection pass gives every W_i;
-    value is their sum, and each run applies the factors perturb draws.
+    value is their sum. One _slice_factors call draws the runs x slices
+    factor matrix, the rows perturb draws, and one product applies it.
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
     Without a probe, the probe is find_minimum's location in search_region at
     SCAN_STEP; with no region either, in u in [0, 2r], v = 0, at step 0.01.
@@ -241,8 +259,7 @@ def monte_carlo_study(
     u0, v0 = float(probe_point[0]), float(probe_point[1])
     parts = slice_terms(table, u0, v0, recon_config) * scale
     clean_value = float(parts.sum())
-    factors = np.array([_slice_factors(noise, run, parts.size) for run in range(noise.runs)])
-    samples = factors @ parts
+    samples = _slice_factors(noise, range(noise.runs), parts.size) @ parts
     stddev = float(np.std(samples, ddof=1)) if noise.runs > 1 else 0.0
     return MinimumReport(
         location=(u0, v0),

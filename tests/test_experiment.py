@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catscan import (
@@ -12,6 +12,7 @@ from catscan import (
     MinimumReport,
     NoiseSpec,
     PAPER_SCALE,
+    QuadratureTable,
     ReconstructionConfig,
     RegionError,
     build_table,
@@ -27,6 +28,7 @@ from catscan import (
     reconstruct_at,
     wigner_superposition,
 )
+from catscan.experiment import _slice_factors
 
 SQRT5 = math.sqrt(5.0)
 
@@ -93,6 +95,49 @@ def test_perturb_scales_each_slice_uniformly(cat_table):
 def test_perturb_rejects_negative_run(cat_table):
     with pytest.raises(InvalidArgument):
         perturb(cat_table, NoiseSpec(magnitude=0.1, runs=1, seed=1), -1)
+
+
+_WORD_EDGES = st.sampled_from([0, 2**32 - 1, 2**32])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    seed=st.one_of(_WORD_EDGES, st.integers(min_value=0, max_value=2**70)),
+    run=st.one_of(_WORD_EDGES, st.integers(min_value=0, max_value=2**40)),
+    magnitude=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    ),
+    slice_count=st.integers(min_value=1, max_value=25),
+)
+@example(seed=0, run=0, magnitude=0.0, slice_count=1)
+@example(seed=2**32 - 1, run=2**32, magnitude=0.5, slice_count=25)
+@example(seed=2**32, run=2**64 + 3, magnitude=0.999, slice_count=11)
+@example(seed=2**70, run=0, magnitude=0.25, slice_count=21)
+def test_noise_factors_are_numpys_seeded_uniform_draws(seed, run, magnitude, slice_count):
+    # bit for bit, not to a tolerance: a numpy release that changes uniform fails here
+    spec = NoiseSpec(magnitude, runs=1, seed=seed)
+    runs = range(run, run + 2)
+    want = np.array(
+        [
+            [1.0 + np.random.default_rng([seed, r, i]).uniform(-magnitude, magnitude)
+             for i in range(slice_count)]
+            for r in runs
+        ]
+    )
+    assert np.array_equal(_slice_factors(spec, runs, slice_count), want)
+    ones = QuadratureTable(np.arange(slice_count) * 0.1, np.array([0.0, 1.0]), np.ones((slice_count, 2)))
+    assert np.array_equal(perturb(ones, spec, run).density.T, [want[0], want[0]])
+
+
+def test_noise_study_builds_no_generator(monkeypatch, cat_table):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noise draw built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    spec = NoiseSpec(magnitude=0.25, runs=3, seed=5)
+    report = monte_carlo_study(CatSpec(SQRT5, math.pi / 2), spec, probe_point=(0.3346, 0.0))
+    assert report.mean != report.value
+    assert not np.array_equal(perturb(cat_table, spec, 2).density, cat_table.density)
 
 
 def test_minimum_report_json_roundtrip(tmp_path):
