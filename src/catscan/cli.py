@@ -60,12 +60,10 @@ SEARCH_POINT_LIMIT = 40_401
 
 
 def _check_grid_size(name: str, points: float, limit: int) -> None:
-    """points is a float, so an overflowed count (inf) fails too.
-
-    The grids round their ends to whole steps, hence the half-point slack.
-    """
+    """An overflowed count (inf) fails too. A float estimate of a grid that
+    rounds its ends to whole steps gets half a point of slack."""
     if not points < limit + 0.5:
-        raise InvalidArgument(f"{name} has {points:.4g} points, more than the limit of {limit}")
+        raise InvalidArgument(f"{name} has {points:.6g} points, more than the limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.x_step > 0.0 and self.x_max > self.x_min):
             raise InvalidArgument("x grid spec requires x_max > x_min and x_step > 0")
-        x_points = (self.x_max - self.x_min) / self.x_step + 1.0
+        lo, hi = self.x_min / self.x_step, self.x_max / self.x_step
+        # the nodes x_grid() builds; an overflowed quotient never reaches round()
+        x_points = round(hi) - round(lo) + 1 if math.isfinite(hi - lo) else math.inf
         _check_grid_size("x grid", x_points, X_POINT_LIMIT)
         if not 2 <= self.phase_count <= PHASE_COUNT_LIMIT:
             raise InvalidArgument(

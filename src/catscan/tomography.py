@@ -7,11 +7,16 @@ return the 2/pi peak.
 
 The sum is evaluated in Fourier-slice form (Kak & Slaney, ch. 3): swapping
 the x and k integrals gives each slice's characteristic function
-P_i(k) = sum_x w_x p_i(x) exp(i k x), and
+P_i(k) = h f(k h) sum_x p_i(x) exp(i k x) on x nodes of step h, and
 
     W(u, v) = (1 / (4 pi^2)) sum_i w_i int_0^kc 2 k Re[P_i(k) exp(-i k s_i)] dk
 
-with s_i = u cos(phi_i) + v sin(phi_i). The k integral uses Gauss-Legendre
+with s_i = u cos(phi_i) + v sin(phi_i). P_i(k) is the trapezoid sum of the
+slice's cubic spline, extended by zeros past the grid ends, on the grid
+refined by its midpoints. Without the spline factor f(k h) = 1 - (k h)^4 / 768
++ ... it would be the plain trapezoid sum, which converges exponentially for
+densities that vanish at the grid ends, so f(k h) is the engine's only
+departure from reconstruct_closed_form. The k integral uses Gauss-Legendre
 nodes, enough of them to be exact to rounding for every |x - s_i| involved.
 """
 
@@ -31,9 +36,6 @@ from .wigner import WignerGrid, _pair_sum, _superposition
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
 # to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
 _MAX_NODES = 1024
-# Rows of the back-projection tables this many nodes from the ends of the x
-# grid are exact to rounding in their interior form, (2 - sqrt 3)^32 ~ 5e-19.
-_SPLINE_EDGE = 32
 # Largest deviation extend_phases(verify_state=...) allows between a mirrored
 # slice and the directly computed one.
 _SYMMETRY_TOL = 1e-6
@@ -97,27 +99,22 @@ def extend_phases(table: QuadratureTable, verify_state=None) -> QuadratureTable:
     return out
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    dx = np.diff(x)
-    w[0] = dx[0] / 2.0
-    w[-1] = dx[-1] / 2.0
-    w[1:-1] = (dx[:-1] + dx[1:]) / 2.0
-    return w
-
-
 def _phase_weights(phases: np.ndarray) -> np.ndarray:
-    """Trapezoid weights on a closed grid (span pi), the step on a periodic one
-    (uniform, span + step = pi); any other grid misses part of the period."""
+    """The step of a uniform grid that closes the period of pi (span pi, end
+    weights halved) or tiles it (span + step = pi). A gap in any other grid
+    would be bridged by one wide panel, so it is rejected."""
     span = phases[-1] - phases[0]
-    if abs(span - math.pi) < 1e-9:
-        return _trapezoid_weights(phases)
     diffs = np.diff(phases)
     step = diffs[0] if diffs.size else math.nan
-    if np.allclose(diffs, step, rtol=0, atol=1e-12) and abs(span + step - math.pi) < 1e-9:
-        return np.full(phases.shape, step)
+    weights = np.full(phases.shape, step)
+    if np.allclose(diffs, step, rtol=0, atol=1e-12):
+        if abs(span - math.pi) < 1e-9:
+            weights[[0, -1]] *= 0.5
+            return weights
+        if abs(span + step - math.pi) < 1e-9:
+            return weights
     raise InvalidArgument(
-        f"phases [{phases[0]:.4f}, {phases[-1]:.4f}] neither close nor tile a period of pi"
+        f"phases [{phases[0]:.4f}, {phases[-1]:.4f}] neither close nor tile a period of pi evenly"
     )
 
 
@@ -150,51 +147,21 @@ def _k_rule(kc: float, n_nodes: int):
     return k, kc * weights * k
 
 
-def _spline_matrix(n: int) -> np.ndarray:
-    """S, mapping values y on n uniform nodes to their not-a-knot cubic spline
-    on the 2n - 1 nodes and midpoints, in order.
-
-    With step h the slopes solve A s = B y / h, with rows
-        s[0] + 2 s[1] = (-5 y[0] + 4 y[1] + y[2]) / 2h
-        s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h
-        2 s[n-2] + s[n-1] = (-y[n-3] - 4 y[n-2] + 5 y[n-1]) / 2h
-    and a midpoint value is (y[i] + y[i+1]) / 2 + h (s[i] - s[i+1]) / 8, so
-    h cancels.
-    """
-    eye = np.eye(n)
-    a = 4.0 * eye + np.eye(n, k=1) + np.eye(n, k=-1)
-    a[0, :2] = (1.0, 2.0)
-    a[-1, -2:] = (2.0, 1.0)
-    b = 3.0 * (np.eye(n, k=1) - np.eye(n, k=-1))
-    b[0, :3] = (-2.5, 2.0, 0.5)
-    b[-1, -3:] = (-0.5, -2.0, 2.5)
-    h_slopes = np.linalg.solve(a, b)
-    out = np.empty((2 * n - 1, n))
-    out[::2] = eye
-    out[1::2] = (eye[:-1] + eye[1:]) / 2.0 + (h_slopes[:-1] - h_slopes[1:]) / 8.0
-    return out
-
-
 @functools.lru_cache(maxsize=4)
 def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
     """k nodes, their weights 2 k w_k, and the x >= 0 cos/sin tables.
 
-    P(k) integrates the slice's cubic spline by the trapezoid rule on the
-    grid refined by its midpoints. Both steps are linear in the density, so
-    the tables are S^T (w_fine cos(k x_fine)) and likewise for sin, on the
-    measured x nodes. On a symmetric uniform grid the not-a-knot spline
-    commutes with x -> -x, so the cos table is even and the sin table odd,
-    and P(k) folds onto x >= 0: cos pairs with p(x) + p(-x) and sin with
+    Each slice stands for its cardinal cubic spline: the spline through the
+    measured values and zeros past the grid ends. P(k) integrates it by the
+    trapezoid rule on the grid refined by its midpoints, which turns the
+    weighted exp(i k x_fine) into h f(k h) exp(i k x) on the nodes. With
+    t = k h, the node itself brings 1/2, the midpoint averages cos(t/2) / 2,
+    and the slope terms bring 3 sin(t) sin(t/2) / (16 + 8 cos t), so
+    f(t) = 1 - t^4 / 768 + ... is the engine's only departure from
+    reconstruct_closed_form. The cos table is even in x and the sin table
+    odd, so P(k) folds onto x >= 0: cos pairs with p(x) + p(-x) and sin with
     p(x) - p(-x). An x = 0 node appears twice in the even fold, so its row
     is halved.
-
-    Away from the grid ends S^T turns the weighted exp(i k x_fine) into
-    h f(k h) exp(i k x) on the nodes (see _spline_matrix for S). With t = k h,
-    the node itself brings 1/2, the midpoint averages cos(t/2) / 2, and the
-    slope terms, through the interior rows of A and B, bring
-    3 sin(t) sin(t/2) / (16 + 8 cos t). The ends perturb a row d nodes in by
-    about (2 - sqrt 3)^d, so the last _SPLINE_EDGE rows come from S itself,
-    built on the last 2 _SPLINE_EDGE nodes (or on the whole grid if shorter).
     """
     x = np.frombuffer(x_bytes)
     k, k_weights = _k_rule(kc, n_nodes)
@@ -204,16 +171,10 @@ def _node_tables(x_bytes: bytes, kc: float, n_nodes: int):
         (1.0 + np.cos(t / 2.0)) / 2.0 + 3.0 * np.sin(t) * np.sin(t / 2.0) / (16.0 + 8.0 * np.cos(t))
     )
     arg = np.outer(x[x.size // 2 :], k)
-    folded = np.hstack([np.cos(arg) * factor, np.sin(arg) * factor])
-    edge = x[-2 * _SPLINE_EDGE :]
-    x_fine = np.linspace(edge[0], edge[-1], 2 * edge.size - 1)
-    arg = np.outer(x_fine, k)
-    fine = _trapezoid_weights(x_fine)[:, None] * np.hstack([np.cos(arg), np.sin(arg)])
-    rows = folded.shape[0] if edge.size == x.size else _SPLINE_EDGE
-    folded[-rows:] = (_spline_matrix(edge.size).T @ fine)[-rows:]
+    cos_table, sin_table = np.cos(arg) * factor, np.sin(arg) * factor
     if x.size % 2:
-        folded[0, :n_nodes] *= 0.5
-    tables = (k, k_weights, folded[:, :n_nodes], folded[:, n_nodes:])
+        cos_table[0] *= 0.5
+    tables = (k, k_weights, cos_table, sin_table)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -313,9 +274,9 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
     P(k) = <D(xi)> with xi = i k e^{i phi} / 2 (Cahill & Glauber 1969), from
     <b_j|D(xi)|b_i> = <b_j|b_i> exp(conj(b_j) xi - conj(xi) b_i - |xi|^2 / 2).
     This P(k) goes through the engine's own point rule, k rule, phase sum and
-    slice total, so with no Fock truncation, x grid or spline the engine differs
-    from this only by x discretisation, and this from the true W only by the
-    cutoff and the phase sampling. Phys convention.
+    slice total, so the engine differs from this only through its spline
+    factor f(k h), and this from the true W only by the cutoff and the phase
+    sampling. Phys convention.
     """
     coeffs, mean, offsets, overlap, norm = _superposition(terms)
     phases = np.asarray(phases, dtype=np.float64)

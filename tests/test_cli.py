@@ -437,6 +437,14 @@ def test_oversized_state_exits_2(tmp_path, capsys, text):
     _assert_one_line_config_error(capsys)
 
 
+def test_x_grid_limit_counts_the_rounded_nodes(tmp_path, capsys):
+    """(x_max - x_min) / x_step + 1 is 20,001.2 here, but x_grid() rounds both
+    ends outward to 20,002 nodes."""
+    text = "r = 2\ntheta = 1.5\nx_step = 0.001\nx_min = -9.9996\nx_max = 10.0006\n"
+    assert main(["cat-state", "--config", str(write_config(tmp_path, text))]) == 2
+    assert "x grid has 20002 points" in _assert_one_line_config_error(capsys)
+
+
 @pytest.mark.parametrize(
     "text,x_points",
     [

@@ -94,20 +94,25 @@ def test_reconstruct_requires_extended_phases():
 
 
 def test_reconstruct_rejects_phases_short_of_a_period():
-    """A grid must close the period of pi or tile it uniformly.
+    """A uniform grid must close the period of pi or tile it.
 
-    Both tables below once reconstructed without an error: the theta90
-    minimum read -1.62 on [0, 2.0] and -2.35 on [0.1, pi - 0.1], not -3.16.
+    These tables once reconstructed without an error: the theta90 minimum
+    (-3.16) read -1.62 on [0, 2.0] and -2.35 on [0.1, pi - 0.1]. Measurements
+    that stop short of pi/2 leave a hole in the extended grid: -10.80 on
+    [0, 0.1, 0.2], -3.1703 for 9 phases on [0, 1.2] and -3.1625 for 10 phases
+    0 ... 9 pi / 20, against -3.1620 on the default grid.
     """
     spec = CatSpec(SQRT5, math.pi / 2)
     state = make_cat(spec, 50)
     x = default_x_grid(5.0)
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     from_01 = build_table(state, np.linspace(0.1, math.pi / 2, 6), x)
+    short = [[0.0, 0.1, 0.2], np.linspace(0.0, 1.2, 9), np.arange(10) * math.pi / 20.0]
     for table in (
         build_table(state, np.linspace(0.0, 2.0, 11), x),
         extend_phases(from_01),
         build_table(state, [0.5], x),
+        *(extend_phases(build_table(state, phases, x)) for phases in short),
     ):
         with pytest.raises(InvalidArgument, match="period of pi"):
             reconstruct_at(table, 0.3346, 0.0, cfg)
@@ -178,7 +183,9 @@ def _scale_rows(table, factors):
 
 # 21 and 16 extended slices: pi/2 measured (no mirror of its own) or not
 @pytest.mark.parametrize(
-    "phases", [default_phases(), np.linspace(0.0, 1.4, 8)], ids=["default", "to-1.4"]
+    "phases",
+    [default_phases(), (np.arange(8) + 0.5) * math.pi / 16.0],
+    ids=["default", "half-step-offset"],
 )
 def test_slice_terms_are_single_slice_reconstructions(phases):
     state = make_cat(CatSpec(SQRT5, 1.11), 50)
@@ -518,12 +525,24 @@ def _fine_grid(x):
     return x_fine, w_fine
 
 
-def _spline_trapezoid_terms(table, u, v, kc):
-    """Per-slice terms with each slice's CubicSpline summed on the refined grid."""
-    x = table.x_grid
+def _zero_padded(x, values, pad):
+    """x extended by pad nodes per side, and values (x along the last axis) by zeros."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    x_pad = np.linspace(x[0] - pad * h, x[-1] + pad * h, x.size + 2 * pad)
+    return x_pad, np.pad(values, [(0, 0)] * (values.ndim - 1) + [(pad, pad)])
+
+
+def _spline_trapezoid_terms(table, u, v, kc, pad=0):
+    """Per-slice terms with each slice's CubicSpline summed on the refined grid.
+
+    pad = 0 fits the slice with scipy's not-a-knot ends; pad zero nodes per
+    side stand in for the zero-extended (cardinal) spline, whose end
+    conditions reach in by (2 - sqrt 3)^pad.
+    """
+    x, density = _zero_padded(table.x_grid, table.density, pad)
     x_fine, w_fine = _fine_grid(x)
-    fine = CubicSpline(x, table.density, axis=1)(x_fine)
-    n_nodes = tomography_module._node_count(kc * (x[-1] + np.max(np.hypot(u, v))))
+    fine = CubicSpline(x, density, axis=1)(x_fine)
+    n_nodes = tomography_module._node_count(kc * (table.x_grid[-1] + np.max(np.hypot(u, v))))
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     k = 0.5 * kc * (nodes + 1.0)
     char = (fine * w_fine) @ np.exp(1j * np.multiply.outer(x_fine, k))
@@ -536,7 +555,7 @@ def _spline_trapezoid_terms(table, u, v, kc):
     return w_phase[:, None] * sums / (4.0 * math.pi**2)
 
 
-# odd and even point counts; 41 and 40 fit inside the 2 x 32 end rows
+# densities near 1 at the grid ends, where the zero extension moves every term
 @pytest.mark.parametrize("n", [241, 240, 41, 40])
 def test_back_project_matches_spline_trapezoid_sum(n):
     rng = np.random.default_rng(n)
@@ -544,6 +563,23 @@ def test_back_project_matches_spline_trapezoid_sum(n):
     phases = np.linspace(0.0, math.pi, 9)
     table = QuadratureTable(phases, x, rng.uniform(0.0, 1.0, (phases.size, n)))
     u, v = rng.uniform(-2.5, 2.5, (2, 6))
+    got = tomography_module._back_project(table, u, v, ReconstructionConfig(cutoff_kc=12.0))
+    want = _spline_trapezoid_terms(table, u, v, 12.0, pad=40)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CatSpec(SQRT5, 1.11), CatSpec(SQRT5, math.pi / 2, "minus")],
+    ids=["theta111", "theta90-minus"],
+)
+@pytest.mark.parametrize("n", [240, 241, 1201])
+def test_back_project_matches_not_a_knot_spline_where_densities_vanish(spec, n):
+    """On [-6, 6] the cat densities are ~2e-13 at the ends, so the end conditions
+    cannot move a term: the zero-extended spline matches the not-a-knot one."""
+    x = np.linspace(-6.0, 6.0, n)
+    table = extend_phases(build_table(make_cat(spec, 50), default_phases(7), x))
+    u, v = np.array([0.3346, -1.2, 2.0, 0.0]), np.array([0.0, 0.7, -1.5, 2.2])
     got = tomography_module._back_project(table, u, v, ReconstructionConfig(cutoff_kc=12.0))
     want = _spline_trapezoid_terms(table, u, v, 12.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -553,13 +589,14 @@ def test_back_project_matches_spline_trapezoid_sum(n):
 def test_node_tables_fold_the_even_and_odd_spline_tables(n):
     x = np.linspace(-6.0, 6.0, n)
     k, _, cos_table, sin_table = tomography_module._node_tables(x.tobytes(), 12.0, 40)
-    x_fine, w_fine = _fine_grid(x)
-    spline = CubicSpline(x, np.eye(n))(x_fine)
+    x_pad, unit = _zero_padded(x, np.eye(n), 40)
+    x_fine, w_fine = _fine_grid(x_pad)
+    spline = CubicSpline(x_pad, unit, axis=1)(x_fine)
     arg = np.multiply.outer(x_fine, k)
-    full_cos = spline.T @ (w_fine[:, None] * np.cos(arg))
-    full_sin = spline.T @ (w_fine[:, None] * np.sin(arg))
+    full_cos = spline @ (w_fine[:, None] * np.cos(arg))
+    full_sin = spline @ (w_fine[:, None] * np.sin(arg))
     scale = np.max(np.abs(full_cos))
-    # the not-a-knot spline commutes with x -> -x, which is what the fold needs
+    # the zero-extended spline commutes with x -> -x, which is what the fold needs
     assert np.max(np.abs(full_cos - full_cos[::-1])) <= 1e-13 * scale
     assert np.max(np.abs(full_sin + full_sin[::-1])) <= 1e-13 * scale
     want_cos = full_cos[n // 2 :].copy()
