@@ -14,13 +14,9 @@ from .circuit import (
     BellState, CatSpec, _herald, bell_state, diagonal_basis_amplitudes, make_cat, make_ghz,
 )
 from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
-from .experiment import (
-    N_MAX_LIMIT,
-    SCAN_STEP,
-    NoiseSpec,
-    default_n_max,
-    find_minimum,
-    monte_carlo_study,
+from .experiment import (  # SCAN_STEP and SEARCH_POINT_LIMIT are re-exported
+    N_MAX_LIMIT, SCAN_STEP, SEARCH_POINT_LIMIT, NoiseSpec, _clean_scan, _scan_points,
+    default_n_max, monte_carlo_study,
 )
 from .fock import mean_photon_number, vacuum
 from .quadrature import build_table, default_phases, default_x_grid
@@ -54,15 +50,11 @@ PHASE_COUNT_LIMIT = 361
 NOISE_RUNS_LIMIT = 10_000
 # 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
 WIGNER_AXIS_LIMIT = 4_001
-# reconstruct and noise-study scan the search region at SCAN_STEP: 40,401 points is a
-# 1 x 1 window, or a span of 202 on one axis.
-SEARCH_POINT_LIMIT = 40_401
 
 
 def _check_grid_size(name: str, points: float, limit: int) -> None:
-    """An overflowed count (inf) fails too. A float estimate of a grid that
-    rounds its ends to whole steps gets half a point of slack."""
-    if not points < limit + 0.5:
+    """points counts the nodes the command builds; an overflowed count (inf) fails too."""
+    if not points <= limit:
         raise InvalidArgument(f"{name} has {points:.6g} points, more than the limit of {limit}")
 
 
@@ -85,10 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (self.x_step > 0.0 and self.x_max > self.x_min):
             raise InvalidArgument("x grid spec requires x_max > x_min and x_step > 0")
-        lo, hi = self.x_min / self.x_step, self.x_max / self.x_step
-        # the nodes x_grid() builds; an overflowed quotient never reaches round()
-        x_points = round(hi) - round(lo) + 1 if math.isfinite(hi - lo) else math.inf
-        _check_grid_size("x grid", x_points, X_POINT_LIMIT)
+        lo, hi = self._x_ends()
+        _check_grid_size("x grid", hi - lo + 1, X_POINT_LIMIT)
         if not 2 <= self.phase_count <= PHASE_COUNT_LIMIT:
             raise InvalidArgument(
                 f"phase_count must be in [2, {PHASE_COUNT_LIMIT}], got {self.phase_count}"
@@ -101,18 +91,26 @@ class ExperimentConfig:
             )
         if not (self.wigner_step > 0.0 and self.wigner_range > 0.0):
             raise InvalidArgument("wigner grid spec requires positive range and step")
-        axis_points = 2.0 * self.wigner_range / self.wigner_step + 1.0
-        _check_grid_size("wigner grid axis", axis_points, WIGNER_AXIS_LIMIT)
+        _check_grid_size("wigner grid axis", self._wigner_axis_size(), WIGNER_AXIS_LIMIT)
         # reconstruct and probe-less noise-study scan it; find_minimum rejects a degenerate one
-        (re_lo, re_hi), (im_lo, im_hi) = self.search_region
-        re_points = max(re_hi - re_lo, 0.0) / SCAN_STEP + 1.0
-        im_points = max(im_hi - im_lo, 0.0) / SCAN_STEP + 1.0
-        _check_grid_size("search region scan", re_points * im_points, SEARCH_POINT_LIMIT)
+        _check_grid_size("search region scan", _scan_points(self.search_region), SEARCH_POINT_LIMIT)
+
+    def _x_ends(self) -> tuple[float, float]:
+        """x_grid()'s end nodes in whole x_steps; -inf, inf if a quotient overflows."""
+        lo, hi = self.x_min / self.x_step, self.x_max / self.x_step
+        return (round(lo), round(hi)) if math.isfinite(hi - lo) else (-math.inf, math.inf)
 
     def x_grid(self) -> np.ndarray:
-        lo = round(self.x_min / self.x_step)
-        hi = round(self.x_max / self.x_step)
+        lo, hi = self._x_ends()
         return np.arange(lo, hi + 1) * self.x_step
+
+    def _wigner_axis_size(self) -> float:
+        """round(2 range / step) + 1, the wigner-oracle axis; inf if the quotient overflows."""
+        steps = 2.0 * self.wigner_range / self.wigner_step
+        return round(steps) + 1 if math.isfinite(steps) else math.inf
+
+    def _wigner_axis(self) -> np.ndarray:
+        return np.linspace(-self.wigner_range, self.wigner_range, self._wigner_axis_size())
 
     def phases(self) -> np.ndarray:
         return default_phases(self.phase_count)
@@ -276,9 +274,7 @@ def _cmd_quadrature(args) -> int:
 
 def _cmd_wigner_oracle(args) -> int:
     cfg = args.config_data
-    half = cfg.wigner_range
-    count = round(2.0 * half / cfg.wigner_step)
-    axis = np.linspace(-half, half, count + 1)
+    axis = cfg._wigner_axis()
     grid = evaluate_grid(cat_wigner_terms(cfg.cat), axis, axis, args.convention)
     path = _out_path(args, "_wigner.csv")
     grid.to_csv(path)
@@ -288,13 +284,8 @@ def _cmd_wigner_oracle(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     cfg = args.config_data
-    state = make_cat(cfg.cat, cfg.n_max)
-    table = extend_phases(build_table(state, cfg.phases(), cfg.x_grid()))
-    report = find_minimum(
-        lambda u, v: reconstruct_at(table, u, v, cfg.recon),
-        cfg.search_region,
-        convention=args.convention,
-    )
+    table = build_table(make_cat(cfg.cat, cfg.n_max), cfg.phases(), cfg.x_grid())
+    report = _clean_scan(table, cfg.recon, cfg.search_region, convention=args.convention)
     path = _out_path(args, "_minimum.json")
     report.to_json(path)
     print(f"wrote {path}")

@@ -21,6 +21,9 @@ REPORT_SCHEMA = "catscan/minimum-report/1"
 N_MAX_LIMIT = 1000
 # find_minimum's default scan step
 SCAN_STEP = 0.005
+# reconstruct and a probe-less noise-study scan the search region at SCAN_STEP, as
+# _scan_points counts: 40,401 points is a 1 x 1 window, or a span of 202 on one axis.
+SEARCH_POINT_LIMIT = 40_401
 
 
 def default_n_max(mean_photon: float) -> int:
@@ -126,15 +129,11 @@ class MinimumReport:
 
     @classmethod
     def from_json(cls, source) -> "MinimumReport":
-        if hasattr(source, "read"):
-            payload = json.load(source)
-        else:
-            text = str(source)
-            if text.lstrip().startswith("{"):
-                payload = json.loads(text)
-            else:
-                with open(text) as fh:
-                    payload = json.load(fh)
+        text = str(source)  # JSON text, or the path of a file holding it
+        if not text.lstrip().startswith("{"):
+            with open(text) as fh:
+                text = fh.read()
+        payload = json.loads(text)
         if payload.get("schema") != REPORT_SCHEMA:
             raise InvalidArgument(f"unknown report schema {payload.get('schema')!r}")
         return cls(
@@ -146,6 +145,23 @@ class MinimumReport:
             seed=payload.get("seed"),
             config=payload.get("config"),
         )
+
+
+def _scan_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """find_minimum's nodes on one axis: lo, lo + step, ... up to hi plus half a step."""
+    return np.arange(lo, hi + step / 2.0, step)
+
+
+def _scan_points(search_region, step: float = SCAN_STEP) -> float:
+    """The points find_minimum scans: per axis, numpy's length of _scan_axis,
+    ceil((stop - start) / step), 0 if that quotient is not positive, inf if not finite."""
+    points = 1.0
+    for lo, hi in search_region:
+        n = (hi + step / 2.0 - lo) / step
+        if n <= 0.0:
+            return 0.0
+        points *= math.ceil(n) if math.isfinite(n) else math.inf
+    return points
 
 
 def _parabola_refine(f0: float, f1: float, f2: float, h: float) -> float:
@@ -176,8 +192,8 @@ def find_minimum(
     if not (re_hi > re_lo and im_hi >= im_lo):
         raise InvalidArgument(f"degenerate search region {search_region!r}")
 
-    us = np.arange(re_lo, re_hi + step / 2.0, step)
-    vs = np.arange(im_lo, im_hi + step / 2.0, step)
+    us = _scan_axis(re_lo, re_hi, step)
+    vs = _scan_axis(im_lo, im_hi, step)
     vals = np.asarray(target(us[:, None], vs[None, :]), dtype=np.float64)
 
     iu, iv = np.unravel_index(np.argmin(vals), vals.shape)
@@ -212,6 +228,14 @@ def find_minimum(
     )
 
 
+def _clean_scan(table, recon_config, search_region, step=SCAN_STEP, convention="phys"):
+    """find_minimum of the noiseless reconstruction from table, extended."""
+    ext = extend_phases(table)
+    return find_minimum(
+        lambda u, v: reconstruct_at(ext, u, v, recon_config), search_region, step, convention
+    )
+
+
 def monte_carlo_study(
     cat: CatSpec,
     noise: NoiseSpec,
@@ -231,8 +255,8 @@ def monte_carlo_study(
     value is their sum. One _slice_factors call draws the runs x slices
     factor matrix, the rows perturb draws, and one product applies it.
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
-    Without a probe, the probe is find_minimum's location in search_region at
-    SCAN_STEP; with no region either, in u in [0, 2r], v = 0, at step 0.01.
+    Without a probe, the probe is the minimum reconstruct's clean scan finds in
+    search_region at SCAN_STEP; with no region, in u in [0, 2r], v = 0, at step 0.01.
     """
     scale = convention_factor(convention)
     if n_max is None:
@@ -248,14 +272,9 @@ def monte_carlo_study(
     if probe_point is None:
         region, step = search_region, SCAN_STEP
         if region is None:
-            # the library default: u in [0, 2r] at 0.01, half the kernel work
-            # of the CLI's default scan of [0.02, 2r] at SCAN_STEP
+            # the library default: half the points of the CLI's default scan
             region, step = ((0.0, 2.0 * cat.r), (0.0, 0.0)), 0.01
-        clean_ext = extend_phases(table)
-        report = find_minimum(
-            lambda u, v: reconstruct_at(clean_ext, u, v, recon_config), region, step
-        )
-        probe_point = report.location
+        probe_point = _clean_scan(table, recon_config, region, step).location
     u0, v0 = float(probe_point[0]), float(probe_point[1])
     parts = slice_terms(table, u0, v0, recon_config) * scale
     clean_value = float(parts.sum())

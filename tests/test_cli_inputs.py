@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catscan import QuadratureTable, WignerGrid
-from catscan.cli import SCAN_STEP, SEARCH_POINT_LIMIT, main, parse_config
+from catscan import InvalidArgument, QuadratureTable, RegionError, WignerGrid, find_minimum
+from catscan.cli import (
+    SCAN_STEP, SEARCH_POINT_LIMIT, WIGNER_AXIS_LIMIT, _scan_points, main, parse_config,
+)
 
+REPO = Path(__file__).resolve().parents[1]
 BASE_CONFIG = """
 r = 2.2360679774997896
 theta = 1.5707963267948966
@@ -41,8 +45,10 @@ def _assert_one_line_config_error(capsys):
         "search_re_min = -1e308\nsearch_re_max = 1e308\n",  # the span overflows to inf
         "search_re_max = 202.03\n",  # 40,403 points
         "search_im_min = -0.5\nsearch_im_max = 0.5\n",  # 891 x 201 points
+        # 2 x 25,000 points, though span / step + 1 per axis reads 1.6 x 24,999.6 = 39,999
+        "search_re_min = 0.0\nsearch_re_max = 0.003\nsearch_im_min = 0.0\nsearch_im_max = 124.993\n",
     ],
-    ids=["re_max-1e9", "re_span-inf", "re_points-40403", "window-891x201"],
+    ids=["re_max-1e9", "re_span-inf", "re_points-40403", "window-891x201", "thin-2x25000"],
 )
 def test_oversized_search_region_exits_2(tmp_path, capsys, extra):
     assert _run(tmp_path, "reconstruct", BASE_CONFIG + extra) == 2
@@ -63,6 +69,63 @@ def test_search_regions_at_the_limit_parse(tmp_path, extra):
     (re_lo, re_hi), (im_lo, im_hi) = parse_config(path).search_region
     points = (round((re_hi - re_lo) / SCAN_STEP) + 1) * (round((im_hi - im_lo) / SCAN_STEP) + 1)
     assert points == SEARCH_POINT_LIMIT
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    los=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    long_span=st.floats(-0.01, 250.0),
+    short_span=st.floats(0.0, 0.02),
+    long_axis=st.sampled_from([0, 1]),
+)
+def test_search_limit_counts_the_points_find_minimum_scans(los, long_span, short_span, long_axis):
+    """The count the config limit reads is the size of the grid find_minimum hands its target."""
+    spans = (long_span, short_span) if long_axis == 0 else (short_span, long_span)
+    region = tuple((lo, lo + span) for lo, span in zip(los, spans))
+    points = _scan_points(region)
+    config = parse_config(REPO / "configs" / "theta90.cfg")
+    if points > SEARCH_POINT_LIMIT:
+        with pytest.raises(InvalidArgument, match="search region scan"):
+            replace(config, search_region=region)
+        return
+    assert replace(config, search_region=region).search_region == region
+    sizes = []
+
+    def target(u, v):
+        sizes.append(np.size(u) * np.size(v))
+        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
+
+    (re_lo, re_hi), (im_lo, im_hi) = region
+    try:
+        find_minimum(target, region)
+    except RegionError:  # the constant target's minimum is a corner: the scan still ran
+        pass
+    except InvalidArgument:
+        assert not sizes and not (re_hi > re_lo and im_hi >= im_lo)
+        return
+    assert sizes[0] == points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wigner_range=st.floats(0.05, 10.0), wigner_step=st.floats(0.002, 1.0))
+def test_wigner_limit_counts_the_axis_wigner_oracle_writes(wigner_range, wigner_step):
+    size = round(2.0 * wigner_range / wigner_step) + 1
+    text = BASE_CONFIG + f"wigner_range = {wigner_range!r}\nwigner_step = {wigner_step!r}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        (out_dir / "exp.cfg").write_text(text)
+        if size > WIGNER_AXIS_LIMIT:
+            with pytest.raises(InvalidArgument, match="wigner grid axis"):
+                parse_config(out_dir / "exp.cfg")
+            return
+        axis = parse_config(out_dir / "exp.cfg")._wigner_axis()
+        assert axis.size == size and (axis[0], axis[-1]) == (-wigner_range, wigner_range)
+        if size <= 41:  # small enough to run the command itself
+            argv = ["wigner-oracle", "--config", str(out_dir / "exp.cfg"), "--out", tmp]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            grid = WignerGrid.from_csv(out_dir / "smoke_wigner.csv")
+            assert grid.re_axis.size == grid.im_axis.size == size
 
 
 @pytest.mark.parametrize(
