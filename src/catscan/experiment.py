@@ -53,10 +53,15 @@ class NoiseSpec:
             )
         if self.model not in NOISE_MODELS:
             raise InvalidArgument(f"unknown noise model {self.model!r}")
-        if not (isinstance(self.runs, int) and self.runs >= 1):
-            raise InvalidArgument(f"runs must be a positive integer, got {self.runs}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        # bool is an int, but a report with "runs": true or "seed": false is wrong
+        if not (_is_int(self.runs) and self.runs >= 1):
+            raise InvalidArgument(f"runs must be a positive integer, got {self.runs!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise InvalidArgument(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -69,24 +74,133 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+# numpy's SeedSequence hash (after O'Neill's seed_seq) and its PCG64 multiplier
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """init, init mult, init mult^2, ... mod 2^32: the multipliers a hash walks through."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
+    """numpy's SeedSequence generate_state(4, np.uint64) for each row of a uint32 matrix.
+
+    Returns the four uint64 columns. Each hash call uses the next multiplier,
+    and how many calls a row makes depends only on its length, so one list of
+    Python-int constants serves every row.
+    """
+    length = entropy.shape[1]
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(length - _POOL_SIZE, 0)
+    consts = iter(_hash_constants(_INIT_A, _MULT_A, calls))
+    xor_const = next(consts)
+
+    def hashmix(value):
+        nonlocal xor_const
+        mult = next(consts)
+        value = (value ^ xor_const) * mult
+        xor_const = mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    # an entry shorter than the pool hashes as zeros
+    zeros = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(entropy[:, j] if j < length else zeros) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    out_consts = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    words = []
+    for t in range(2 * _POOL_SIZE):
+        value = (pool[t % _POOL_SIZE] ^ out_consts[t]) * out_consts[t + 1]
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return [words[2 * j] | (words[2 * j + 1] << 32) for j in range(_POOL_SIZE)]
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi 2^64 + lo) c mod 2^128 on uint64 halves; only lo x c_lo needs 32-bit limbs."""
+    c_hi, c_lo = c >> 64, c & _MASK64
+    c1, c0 = c_lo >> 32, c_lo & _MASK32
+    a1, a0 = lo >> 32, lo & _MASK32
+    p00, p01, p10 = a0 * c0, a0 * c1, a1 * c0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    lo_c_lo_high = a1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return lo_c_lo_high + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo
+
+
+def _pcg64_first_raw(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
+    """The first random_raw() of PCG64 seeded from generate_state(4, uint64) = s0..s3.
+
+    numpy reads seed = s0 2^64 + s1 and seq = s2 2^64 + s3, sets state 0 and
+    inc = 2 seq + 1, steps x -> x M + inc once, adds seed and steps again;
+    random_raw steps once more and reads the state out by XSL-RR. So the
+    state read is (inc + seed) M^2 + inc (M + 1) mod 2^128.
+    """
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    hi, lo = _add128(
+        *_mul128(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), _PCG_MULT**2 % 2**128),
+        *_mul128(inc_hi, inc_lo, _PCG_MULT + 1),
+    )
+    xored, rot = hi ^ lo, hi >> 58
+    return (xored >> rot) | (xored << ((64 - rot) & 63))
+
+
+def _uniform_draws(seed: int, runs: range, columns: int) -> np.ndarray:
+    """Seeded U[0, 1) draws: one row per run in runs, one column per index i.
+
+    Entry (run, i) is (raw >> 11) 2^-53, the draw Generator.uniform scales,
+    where raw is the first random_raw() of numpy's PCG64 seeded by the
+    SeedSequence of [seed, run, i].
+    No Generator, SeedSequence or PCG64 is built: every draw runs at once
+    through numpy's SeedSequence hash of the little-endian uint32 words of
+    [seed, run, i] (O'Neill's seed_seq design) and the closed-form PCG64
+    XSL-RR 128/64 state after seeding and one step (O'Neill, HMC-CS-2014-0905;
+    see _pcg64_first_raw). NEP 19 fixes both streams. Rows whose run takes
+    the same number of words share one entropy matrix.
+    """
+    seed_words = _uint32_words(seed)
+    run_words = [_uint32_words(run) for run in runs]
+    index = np.arange(columns, dtype=np.uint32)
+    raw = np.empty((len(runs), columns), dtype=np.uint64)
+    for width in sorted({len(words) for words in run_words}):
+        rows = [k for k, words in enumerate(run_words) if len(words) == width]
+        heads = np.array([seed_words + run_words[k] for k in rows], dtype=np.uint32)
+        entropy = np.column_stack((np.repeat(heads, columns, axis=0), np.tile(index, len(rows))))
+        raw[rows] = _pcg64_first_raw(*_seed_state(entropy)).reshape(len(rows), columns)
+    return (raw >> 11) * 2.0**-53
+
+
 def _slice_factors(spec: NoiseSpec, runs: range, slice_count: int) -> np.ndarray:
     """Factors 1 + eps, eps ~ U[-m, m]: one row per run in runs, one column per slice.
 
-    Entry (run, i) is 1 + np.random.default_rng([seed, run, i]).uniform(-m, m)
-    bit for bit, so runs and slices are independent and order-free. No
-    Generator is built: numpy's own SeedSequence takes the words numpy splits
-    that list into, numpy's PCG64 gives one raw draw, and the arithmetic of
-    Generator.uniform, low + (high - low) * (raw >> 11) 2^-53, runs on every
-    draw at once.
+    Entry (run, i) is 1 plus the uniform(-m, m) draw of numpy's default_rng
+    seeded with [seed, run, i], bit for bit, so runs and slices are
+    independent and order-free: the arithmetic of Generator.uniform,
+    low + (high - low) u, on every _uniform_draws value u at once.
     """
-    seed_words = _uint32_words(spec.seed)
-    raw = np.empty((len(runs), slice_count), dtype=np.uint64)
-    for row, run in zip(raw, runs):
-        head = seed_words + _uint32_words(run)
-        entropy = np.array([head + [i] for i in range(slice_count)], dtype=np.uint32)
-        row[:] = [np.random.PCG64(np.random.SeedSequence(e)).random_raw() for e in entropy]
     m = spec.magnitude
-    return 1.0 + (-m + 2.0 * m * ((raw >> 11) * 2.0**-53))
+    return 1.0 + (-m + 2.0 * m * _uniform_draws(spec.seed, runs, slice_count))
 
 
 def perturb(table: QuadratureTable, spec: NoiseSpec, run_index: int) -> QuadratureTable:
@@ -253,7 +367,12 @@ def monte_carlo_study(
     (and its mirror) by 1 + eps_i gives sum_i (1 + eps_i) W_i, where W_i is
     slice i's share (slice_terms). One back-projection pass gives every W_i;
     value is their sum. One _slice_factors call draws the runs x slices
-    factor matrix, the rows perturb draws, and one product applies it.
+    factor matrix, the rows perturb draws, and one product applies it. The
+    draws are uniform(-m, m) from numpy's default_rng seeded with
+    [seed, run, i], bit for bit, computed in one vectorised pass of numpy's
+    SeedSequence hash (O'Neill's seed_seq design) and the closed-form PCG64
+    XSL-RR state (inc + seed) M^2 + inc (M + 1) mod 2^128 (O'Neill,
+    HMC-CS-2014-0905).
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
     Without a probe, the probe is the minimum reconstruct's clean scan finds in
     search_region at SCAN_STEP; with no region, in u in [0, 2r], v = 0, at step 0.01.

@@ -26,6 +26,7 @@ from catscan import (
     monte_carlo_study,
     perturb,
     reconstruct_at,
+    slice_terms,
     wigner_superposition,
 )
 from catscan.experiment import _slice_factors
@@ -59,6 +60,14 @@ def test_noise_spec_validation():
 def test_noise_spec_rejects_negative_seed():
     with pytest.raises(InvalidArgument):
         NoiseSpec(magnitude=0.2, runs=10, seed=-1)
+
+
+def test_noise_spec_rejects_bool_runs_and_seed():
+    # bool is an int, and would reach the report JSON as "runs": true, "seed": false
+    with pytest.raises(InvalidArgument, match="runs"):
+        NoiseSpec(magnitude=0.25, runs=True, seed=0)
+    with pytest.raises(InvalidArgument, match="seed"):
+        NoiseSpec(magnitude=0.25, runs=1, seed=False)
 
 
 def test_perturb_is_deterministic(cat_table):
@@ -129,15 +138,62 @@ def test_noise_factors_are_numpys_seeded_uniform_draws(seed, run, magnitude, sli
     assert np.array_equal(perturb(ones, spec, run).density.T, [want[0], want[0]])
 
 
+@pytest.mark.parametrize(
+    "seed,runs,slice_count",
+    [
+        (20250814, range(200), 11),  # noise50's shape under its committed seed
+        (20250814, range(2**32 - 3, 2**32 + 3), 21),  # runs of one and two words
+        (2**64 + 1, range(2**32 - 2, 2**32 + 2), 11),  # a three-word seed
+    ],
+    ids=["noise50", "run-word-edge", "three-word-seed"],
+)
+def test_noise_factors_match_numpy_at_preset_shape(seed, runs, slice_count):
+    magnitude = 0.5
+    factors = _slice_factors(NoiseSpec(magnitude, runs=1, seed=seed), runs, slice_count)
+    assert factors.shape == (len(runs), slice_count)
+    for r, row in zip(runs, factors):
+        want = [
+            1.0 + np.random.default_rng([seed, r, i]).uniform(-magnitude, magnitude)
+            for i in range(slice_count)
+        ]
+        assert np.array_equal(row, want), r
+
+
 def test_noise_study_builds_no_generator(monkeypatch, cat_table):
     def refuse(*args, **kwargs):
-        raise AssertionError("a noise draw built a numpy Generator")
+        raise AssertionError("a noise draw built a numpy bit generator")
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for name in ("default_rng", "SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name, refuse)
     spec = NoiseSpec(magnitude=0.25, runs=3, seed=5)
     report = monte_carlo_study(CatSpec(SQRT5, math.pi / 2), spec, probe_point=(0.3346, 0.0))
     assert report.mean != report.value
     assert not np.array_equal(perturb(cat_table, spec, 2).density, cat_table.density)
+
+
+def test_noise_certificate_at_theta02_minimum():
+    """Every run is sum_i f_i W_i with f_i in [1 - m, 1 + m], so it lies in
+    [sum W - m sum|W|, sum W + m sum|W|]; below m* = |sum W| / sum|W| no draw
+    can lift the minimum to zero. theta02 has shares of both signs."""
+    spec = CatSpec(SQRT5, 0.2)
+    state = make_cat(spec, default_n_max(spec.mean_photon))
+    table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
+    golden_u = 2.6868965502547297  # configs/golden/theta02_minimum.json
+    parts = slice_terms(table, golden_u, 0.0, ReconstructionConfig.for_mean_photon(5.0))
+    total, spread = parts.sum(), np.abs(parts).sum()
+    assert PAPER_SCALE * total == pytest.approx(-0.9019690252409402, rel=1e-9)
+    m_star = abs(total) / spread
+    assert m_star == pytest.approx(0.732, abs=5e-4)
+    slack = 1e-12 * spread
+    for magnitude in (0.25, 0.5, 0.7, m_star * (1.0 - 1e-9), 0.9):
+        noise = NoiseSpec(magnitude, runs=10_000, seed=20250814)
+        samples = _slice_factors(noise, range(noise.runs), parts.size) @ parts
+        assert np.all(samples >= total - magnitude * spread - slack)
+        assert np.all(samples <= total + magnitude * spread + slack)
+        if magnitude < m_star:
+            assert np.all(samples < 0.0)
+    # past m*, the range crosses zero and the certificate no longer holds
+    assert total - 0.9 * spread < 0.0 < total + 0.9 * spread
 
 
 def test_minimum_report_json_roundtrip(tmp_path):
