@@ -335,14 +335,13 @@ def _cmd_verify(args) -> int:
 
     spec = CatSpec(math.sqrt(5.0), 1.11)
     terms = cat_wigner_terms(spec)
-    # headroom for displacements up to |alpha| ~ 3.5 before parity readout
-    state = make_cat(spec, 70)
+    state = make_cat(spec, 50)
     alphas = alpha_re + 1j * alpha_im
     closed = wigner_superposition(terms, alphas)
     worst = max(abs(w - wigner_displaced_parity(state, a)) for w, a in zip(closed, alphas))
     checks.append(("closed form vs displaced parity (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
-    table = extend_phases(build_table(make_cat(spec, 50), default_phases(), default_x_grid(5.0)))
+    table = extend_phases(build_table(state, default_phases(), default_x_grid(5.0)))
     recon = ReconstructionConfig.for_mean_photon(5.0)
     engine = reconstruct_at(table, u, v, recon)
     worst = float(np.max(np.abs(engine - reconstruct_closed_form(terms, table.phases, u, v, recon))))

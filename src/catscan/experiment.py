@@ -296,9 +296,10 @@ def find_minimum(
 
     target is a callable f(u_column, v_row) -> grid in phys convention,
     scanned over the whole region; a caller after a local minimum passes the
-    window around it as the region. RegionError is raised when the scan
-    minimum sits on the region boundary, since the quadratic refinement (and
-    the minimum itself) is then unconstrained.
+    window around it as the region. A region with one v node is a 1-d scan
+    along u. RegionError is raised when the scan minimum sits on an end of
+    the u axis, or of a v axis with more than one node, since the quadratic
+    refinement (and the minimum itself) is then unconstrained.
     """
     if step > 0.01:
         raise InvalidArgument(f"scan step must be <= 0.01, got {step}")
@@ -311,10 +312,7 @@ def find_minimum(
     vals = np.asarray(target(us[:, None], vs[None, :]), dtype=np.float64)
 
     iu, iv = np.unravel_index(np.argmin(vals), vals.shape)
-    on_edge = iu in (0, vals.shape[0] - 1) or (
-        vs.size > 2 and iv in (0, vals.shape[1] - 1)
-    )
-    if on_edge:
+    if iu in (0, us.size - 1) or (vs.size > 1 and iv in (0, vs.size - 1)):
         raise RegionError(
             f"scan minimum at ({us[iu]:.4f}, {vs[iv]:.4f}) lies on the "
             f"search boundary; enlarge the region"
@@ -324,7 +322,7 @@ def find_minimum(
     u_star += _parabola_refine(
         vals[iu - 1, iv], vals[iu, iv], vals[iu + 1, iv], us[iu + 1] - us[iu]
     )
-    if vs.size > 2 and 0 < iv < vs.size - 1:
+    if vs.size > 1:
         v_star += _parabola_refine(
             vals[iu, iv - 1], vals[iu, iv], vals[iu, iv + 1], vs[iv + 1] - vs[iv]
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import _HERALD_FLOOR, CatSpec
 from .errors import InvalidArgument, ZeroNorm
-from .fock import FockVector, displace, parity_expectation
+from .fock import FockVector, _displacement_matrix
 from .quadrature import _grid_axis, _read_long_csv, _write_long_csv
 
 PAPER_SCALE = 2.0 * math.pi
@@ -133,9 +133,18 @@ def wigner_superposition(terms, alpha):
 
 
 def wigner_displaced_parity(state: FockVector, alpha: complex) -> float:
-    """W(alpha) = (2/pi) <parity> of the state displaced by -alpha."""
-    shifted = displace(state, -complex(alpha))
-    return (2.0 / math.pi) * parity_expectation(shifted)
+    """W(alpha) = (2/pi) <psi| D(2 alpha) P |psi>, phys convention, P = (-1)^n.
+
+    Royer's identity D(alpha) P D(alpha)^dagger = D(2 alpha) P (Phys. Rev. A 15,
+    449 (1977)) turns the displaced parity into one bilinear form over the
+    state's own n_max + 1 levels, whose displacement elements are exact, so
+    no working space is padded and nothing is truncated. At alpha = 0 it is
+    (2/pi) sum_n (-1)^n |c_n|^2.
+    """
+    psi = state.amplitudes
+    parity = np.where(np.arange(psi.size) % 2 == 0, 1.0, -1.0)
+    moved = _displacement_matrix(2.0 * complex(alpha), psi.size) @ (parity * psi)
+    return (2.0 / math.pi) * float(np.vdot(psi, moved).real)
 
 
 def evaluate_grid(terms, re_axis, im_axis, convention: str = "phys") -> WignerGrid:

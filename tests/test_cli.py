@@ -104,6 +104,17 @@ def test_main_exit_code_region_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: search region:")
 
 
+def test_two_node_v_axis_exits_on_its_boundary(tmp_path, capsys):
+    # theta90's minimum sits at v = 0: a two-node v axis [0, 0.005] holds it on an edge
+    text = (CONFIGS / "theta90.cfg").read_text() + "search_im_min = 0.0\nsearch_im_max = 0.005\n"
+    config = write_config(tmp_path, text)
+    code = main(["reconstruct", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: search region:")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -29,7 +29,7 @@ from catscan import (
     slice_terms,
     wigner_superposition,
 )
-from catscan.experiment import _slice_factors
+from catscan.experiment import SCAN_STEP, _slice_factors
 
 SQRT5 = math.sqrt(5.0)
 
@@ -288,6 +288,48 @@ def test_find_minimum_boundary_raises_region_error():
 
     with pytest.raises(RegionError):
         find_minimum(target, ((-1.0, 1.0), (0.0, 0.0)))
+
+    # a two-node v axis has no interior node: its minimum is always on an edge
+    def bowl(u, v):
+        return (u - 0.5) ** 2 + (v - 1.0) ** 2
+
+    for im_hi in (0.005, 0.01):
+        with pytest.raises(RegionError):
+            find_minimum(bowl, ((0.0, 1.0), (0.0, im_hi)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    re_lo=st.floats(-1.0, 1.0),
+    re_nodes=st.integers(2, 40),
+    im_lo=st.floats(-1.0, 1.0),
+    im_nodes=st.integers(1, 4),
+    u_at=st.floats(-0.5, 1.5),
+    v_at=st.floats(-1.0, 2.0),
+    stretch=st.floats(0.1, 10.0),
+)
+def test_find_minimum_returns_a_strictly_interior_minimum(
+    re_lo, re_nodes, im_lo, im_nodes, u_at, v_at, stretch
+):
+    # a smooth bowl whose minimum lands anywhere in, on or past the region
+    re_hi = re_lo + (re_nodes - 1) * SCAN_STEP
+    im_hi = im_lo + (im_nodes - 1) * SCAN_STEP
+    u0 = re_lo + u_at * (re_hi - re_lo)
+    v0 = im_lo + v_at * im_nodes * SCAN_STEP
+
+    def bowl(u, v):
+        return (u - u0) ** 2 + stretch * (v - v0) ** 2
+
+    try:
+        report = find_minimum(bowl, ((re_lo, re_hi), (im_lo, im_hi)))
+    except RegionError:
+        return
+    u, v = report.location
+    assert re_lo < u < re_hi
+    if im_nodes > 1:
+        assert im_lo < v < im_hi
+    else:
+        assert v == im_lo
 
 
 def test_monte_carlo_report_fields():

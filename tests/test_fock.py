@@ -9,13 +9,15 @@ from catscan import (
     InvalidArgument,
     TruncationError,
     coherent_state,
-    displace,
     inner_product,
     mean_photon_number,
     number_state,
-    parity_expectation,
     vacuum,
+    wigner_displaced_parity,
 )
+from catscan.fock import _displacement_matrix
+
+TWO_OVER_PI = 2.0 / math.pi
 
 
 def test_vacuum_and_number_states():
@@ -83,14 +85,15 @@ def test_fock_vector_validation():
 
 @pytest.mark.parametrize("alpha", [0.3, -0.8 + 0.5j, 1.5j, 2.0 - 1.0j])
 def test_displace_vacuum_gives_coherent(alpha):
-    got = displace(vacuum(40), alpha)
+    got = _displacement_matrix(alpha, 41)[:, 0]
     want = coherent_state(alpha, 40)
-    assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-10
+    assert np.max(np.abs(got - want.amplitudes)) < 1e-10
 
 
 def test_displace_zero_is_identity():
-    state = coherent_state(1.0 + 0.2j, 30)
-    assert displace(state, 0.0) is state
+    for alpha in (0, 0.0, 0j):
+        for n in (1, 2, 31):
+            assert np.array_equal(_displacement_matrix(alpha, n), np.eye(n))
 
 
 def test_displace_inverse_roundtrip():
@@ -98,33 +101,27 @@ def test_displace_inverse_roundtrip():
     rng = np.random.default_rng(23)
     raw = np.zeros(51, dtype=complex)
     raw[:10] = rng.normal(size=10) + 1j * rng.normal(size=10)
-    state = FockVector(raw / np.linalg.norm(raw))
-    back = displace(displace(state, 0.9 - 0.4j), -(0.9 - 0.4j))
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
+    raw /= np.linalg.norm(raw)
+    back = _displacement_matrix(-(0.9 - 0.4j), 51) @ (_displacement_matrix(0.9 - 0.4j, 51) @ raw)
+    assert np.max(np.abs(back - raw)) < 1e-10
 
 
 def test_displace_preserves_norm():
     state = coherent_state(1.2, 50)
-    shifted = displace(state, 1.0 + 1.0j)
-    assert abs(shifted.norm() - 1.0) < 1e-8
-
-
-def test_displace_truncation_guard():
-    # displacing far beyond the cutoff must not silently lose weight
-    with pytest.raises(TruncationError):
-        displace(coherent_state(2.0, 12), 5.0)
+    shifted = _displacement_matrix(1.0 + 1.0j, 51) @ state.amplitudes
+    assert abs(np.linalg.norm(shifted) - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1.0), (1, -1.0), (4, 1.0), (7, -1.0)])
 def test_parity_number_states(n, expected):
-    assert parity_expectation(number_state(n, 10)) == expected
+    assert wigner_displaced_parity(number_state(n, 10), 0) == TWO_OVER_PI * expected
 
 
 def test_parity_coherent_closed_form():
     beta = 1.1
-    # <parity> = exp(-2 |beta|^2) for a coherent state
-    got = parity_expectation(coherent_state(beta, 50))
-    assert abs(got - math.exp(-2.0 * beta**2)) < 1e-12
+    # <parity> = exp(-2 |beta|^2) for a coherent state, so W(0) = (2/pi) of it
+    got = wigner_displaced_parity(coherent_state(beta, 50), 0)
+    assert abs(got - TWO_OVER_PI * math.exp(-2.0 * beta**2)) < 1e-12
 
 
 def test_mean_photon_number_coherent():

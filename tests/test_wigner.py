@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from catscan import (
     CatSpec,
+    FockVector,
     InvalidArgument,
     PAPER_SCALE,
     REFERENCE_MINIMA,
@@ -14,7 +15,6 @@ from catscan import (
     ZeroNorm,
     calibrate_display_scale,
     cat_wigner_terms,
-    displace,
     evaluate_grid,
     find_minimum,
     make_cat,
@@ -22,6 +22,7 @@ from catscan import (
     wigner_displaced_parity,
     wigner_superposition,
 )
+from catscan.fock import _displacement_matrix
 
 SQRT5 = math.sqrt(5.0)
 TWO_OVER_PI = 2.0 / math.pi
@@ -98,7 +99,7 @@ def test_near_degenerate_minus_cat_matches_circuit(log_gap, theta, u, v):
     prob = -np.expm1(r * r * complex(math.cos(2.0 * theta) - 1.0, math.sin(2.0 * theta))).real / 2.0
     assume(abs(prob / 1e-14 - 1.0) > 1e-6)
     try:
-        # n_max 40 leaves room to displace |1> by up to 2 sqrt 2 without leaking
+        # the parity oracle is exact at the state's own n_max; 40 holds these cats
         state = make_cat(spec, 40)
     except ZeroNorm:
         with pytest.raises(ZeroNorm):
@@ -108,15 +109,27 @@ def test_near_degenerate_minus_cat_matches_circuit(log_gap, theta, u, v):
     assert abs(closed - wigner_displaced_parity(state, complex(u, v))) < 1e-8
 
 
-def test_closed_form_matches_displaced_parity():
+_RANDOM = np.random.default_rng(41).uniform(-2.0, 2.0, size=(25, 2))
+_BOX = np.linspace(-3.5, 3.5, 8)
+
+
+@pytest.mark.parametrize(
+    "n_max,points,tol",
+    [
+        (70, [complex(u, v) for u, v in _RANDOM], 1e-6),
+        # [-3.5, 3.5]^2 on a unit grid, 2.5 + 2.5i and the corner 3.5 + 3.5i included, and 6i
+        (50, [complex(u, v) for u in _BOX for v in _BOX] + [6j], 1e-12),
+    ],
+    ids=["n_max70-random", "n_max50-box"],
+)
+def test_closed_form_matches_displaced_parity(n_max, points, tol):
     spec = CatSpec(SQRT5, 1.11)
     terms = cat_wigner_terms(spec)
-    state = make_cat(spec, 70)
-    rng = np.random.default_rng(41)
-    for u, v in rng.uniform(-2.0, 2.0, size=(25, 2)):
-        closed = wigner_superposition(terms, complex(u, v))
-        parity = wigner_displaced_parity(state, complex(u, v))
-        assert abs(closed - parity) < 1e-6
+    state = make_cat(spec, n_max)
+    for alpha in points:
+        closed = wigner_superposition(terms, alpha)
+        parity = wigner_displaced_parity(state, alpha)
+        assert abs(closed - parity) < tol
 
 
 def test_shift_covariance_closed_form():
@@ -140,7 +153,7 @@ def test_shift_covariance_closed_form():
 def test_shift_covariance_displaced_parity():
     delta = 0.4 + 0.2j
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 70)
-    moved = displace(state, delta)
+    moved = FockVector(_displacement_matrix(delta, 71) @ state.amplitudes)
     for a in (0.3 + 0.1j, -0.5j, 1.0):
         assert wigner_displaced_parity(moved, a + delta) == pytest.approx(
             wigner_displaced_parity(state, a), abs=1e-8
