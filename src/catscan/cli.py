@@ -15,8 +15,8 @@ from .circuit import (
 )
 from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
 from .experiment import (  # SCAN_STEP and SEARCH_POINT_LIMIT are re-exported
-    N_MAX_LIMIT, SCAN_STEP, SEARCH_POINT_LIMIT, NoiseSpec, _clean_scan, _scan_points,
-    _uniform_draws, default_n_max, monte_carlo_study,
+    N_MAX_LIMIT, SCAN_STEP, SEARCH_POINT_LIMIT, NoiseSpec, _clean_scan, _default_search_region,
+    _scan_points, _uniform_draws, default_n_max, monte_carlo_study,
 )
 from .fock import mean_photon_number, vacuum
 from .quadrature import build_table, default_phases, default_x_grid
@@ -64,7 +64,6 @@ class ExperimentConfig:
     cat: CatSpec
     n_max: int
     phase_count: int
-    x_min: float
     x_max: float
     x_step: float
     recon: ReconstructionConfig
@@ -76,10 +75,9 @@ class ExperimentConfig:
     out_prefix: str
 
     def __post_init__(self):
-        if not (self.x_step > 0.0 and self.x_max > self.x_min):
-            raise InvalidArgument("x grid spec requires x_max > x_min and x_step > 0")
-        lo, hi = self._x_ends()
-        _check_grid_size("x grid", hi - lo + 1, X_POINT_LIMIT)
+        if not (self.x_step > 0.0 and self.x_max > 0.0):
+            raise InvalidArgument("x grid spec requires x_max > 0 and x_step > 0")
+        _check_grid_size("x grid", 2 * self._x_half() + 1, X_POINT_LIMIT)
         if not 2 <= self.phase_count <= PHASE_COUNT_LIMIT:
             raise InvalidArgument(
                 f"phase_count must be in [2, {PHASE_COUNT_LIMIT}], got {self.phase_count}"
@@ -96,14 +94,14 @@ class ExperimentConfig:
         # reconstruct and probe-less noise-study scan it; find_minimum rejects a degenerate one
         _check_grid_size("search region scan", _scan_points(self.search_region), SEARCH_POINT_LIMIT)
 
-    def _x_ends(self) -> tuple[float, float]:
-        """x_grid()'s end nodes in whole x_steps; -inf, inf if a quotient overflows."""
-        lo, hi = self.x_min / self.x_step, self.x_max / self.x_step
-        return (round(lo), round(hi)) if math.isfinite(hi - lo) else (-math.inf, math.inf)
+    def _x_half(self) -> float:
+        """x_grid()'s half-width in whole x_steps, round(x_max / x_step); inf if it overflows."""
+        n = self.x_max / self.x_step
+        return round(n) if math.isfinite(n) else math.inf
 
     def x_grid(self) -> np.ndarray:
-        lo, hi = self._x_ends()
-        return np.arange(lo, hi + 1) * self.x_step
+        n = self._x_half()
+        return np.arange(-n, n + 1) * self.x_step
 
     def _wigner_axis_size(self) -> float:
         """round(2 range / step) + 1, the wigner-oracle axis; inf if the quotient overflows."""
@@ -123,7 +121,6 @@ _SCHEMA = {
     "sign": str,
     "n_max": int,
     "phase_count": int,
-    "x_min": float,
     "x_max": float,
     "x_step": float,
     "cutoff_kc": float,
@@ -178,7 +175,6 @@ def parse_config(path) -> ExperimentConfig:
             f"{path}: mean photon number r^2 = {cat.mean_photon:.6g} exceeds {N_MAX_LIMIT}"
         )
     n_max = vals.get("n_max", default_n_max(cat.mean_photon))
-    default_grid = default_x_grid(cat.mean_photon)
     if "cutoff_kc" in vals:
         recon = ReconstructionConfig(cutoff_kc=vals["cutoff_kc"])
     else:
@@ -195,16 +191,15 @@ def parse_config(path) -> ExperimentConfig:
     probe = None
     if "probe_re" in vals or "probe_im" in vals:
         probe = (vals.get("probe_re", 0.0), vals.get("probe_im", 0.0))
-    region = (
-        (vals.get("search_re_min", 0.02), vals.get("search_re_max", 2.0 * cat.r)),
-        (vals.get("search_im_min", 0.0), vals.get("search_im_max", 0.0)),
+    region = tuple(
+        (vals.get(f"search_{axis}_min", lo), vals.get(f"search_{axis}_max", hi))
+        for axis, (lo, hi) in zip(("re", "im"), _default_search_region(cat.r))
     )
     return ExperimentConfig(
         cat=cat,
         n_max=n_max,
         phase_count=vals.get("phase_count", 11),
-        x_min=vals.get("x_min", float(default_grid[0])),
-        x_max=vals.get("x_max", float(default_grid[-1])),
+        x_max=vals.get("x_max", float(default_x_grid(cat.mean_photon)[-1])),
         x_step=vals.get("x_step", 0.01),
         recon=recon,
         noise=noise,
@@ -347,9 +342,7 @@ def _cmd_verify(args) -> int:
     worst = float(np.max(np.abs(engine - reconstruct_closed_form(terms, table.phases, u, v, recon))))
     checks.append(("reconstruction vs same-phase closed form (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
-    vac = vacuum(20)
-    x = np.linspace(-6.0, 6.0, 1201)
-    table = extend_phases(build_table(vac, default_phases(), x))
+    table = extend_phases(build_table(vacuum(20), default_phases(), default_x_grid(0.0)))
     peak = reconstruct_at(table, 0.0, 0.0, ReconstructionConfig(cutoff_kc=8.0))
     dev = abs(peak / (2.0 / math.pi) - 1.0)
     checks.append(("vacuum reconstruction peak vs 2/pi", dev < 0.01, f"rel dev {dev:.2e}"))

@@ -37,12 +37,13 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.cat.sign == "plus"
     assert cfg.n_max == 50
     assert cfg.phase_count == 11
-    assert cfg.x_min == -6.0 and cfg.x_max == 6.0 and cfg.x_step == 0.01
+    assert cfg.x_max == 6.0 and cfg.x_step == 0.01
     assert cfg.recon.cutoff_kc == pytest.approx(2.0 * (2.0 * math.sqrt(5.0) + 4.0))
     assert cfg.noise is None
     assert cfg.probe is None
+    assert cfg.search_region == ((-0.01, 2.0 * cfg.cat.r), (0.0, 0.0))
     grid = cfg.x_grid()
-    assert grid.size == 1201
+    assert grid.size == 1201 and grid[0] == -grid[-1] == -6.0
     assert cfg.phases().size == 11
 
 
@@ -277,16 +278,18 @@ def test_noise_study_seed_override(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra,want",
     [
-        # a minus cat's minimum at the origin: on the edge of a scan from u = 0
-        "theta = 1.5707963267948966\nsign = minus\nsearch_re_min = -0.5\nsearch_re_max = 0.5\n",
+        # a minus cat's minimum at the origin, inside a region of its own
+        ("theta = 1.5707963267948966\nsign = minus\nsearch_re_min = -0.5\nsearch_re_max = 0.5\n", None),
         # the theta = 1.11 cat's local minimum near 0.155, not its absolute one at 0.895
-        "theta = 1.11\nsearch_re_min = 0.05\nsearch_re_max = 0.3\n",
+        ("theta = 1.11\nsearch_re_min = 0.05\nsearch_re_max = 0.3\n", None),
+        # the default region's lower edge, u = -0.01, leaves the origin inside the scan
+        ("theta = 1.5707963267948966\nsign = minus\n", ([0.0, 0.0], -3.999822)),
     ],
-    ids=["minus-cat-origin", "theta-1.11-local"],
+    ids=["minus-cat-origin", "theta-1.11-local", "minus-cat-default-region"],
 )
-def test_noise_study_without_a_probe_scans_the_search_region(tmp_path, extra):
+def test_noise_study_without_a_probe_scans_the_search_region(tmp_path, extra, want):
     text = f"r = 2.2360679774997896\n{extra}noise_magnitude = 0.25\nnoise_runs = 3\n"
     config = write_config(tmp_path, text + "out_prefix = smoke\n")
     assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 0
@@ -295,6 +298,10 @@ def test_noise_study_without_a_probe_scans_the_search_region(tmp_path, extra):
     study = json.loads((tmp_path / "smoke_noise.json").read_text())
     assert study["location"] == pytest.approx(minimum["location"], abs=1e-4)
     assert study["value"] == pytest.approx(minimum["value"], abs=1e-4)
+    if want is not None:
+        location, value = want
+        assert minimum["location"] == study["location"] == location
+        assert minimum["value"] == pytest.approx(value, abs=5e-7)
 
 
 def test_verify_command(capsys):
@@ -377,6 +384,8 @@ def test_phase_extension_is_an_unknown_key(tmp_path, capsys):
         ("phase_extension", "conjugation_symmetry"),
         ("fit_model", "none"),
         ("fit_model", "cubic_spline"),
+        # x_max is the half-width of a grid symmetric about 0
+        ("x_min", "-6.0"),
     ):
         config = write_config(tmp_path, BASE_CONFIG + f"{key} = {value}\n")
         assert main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 2
@@ -415,45 +424,48 @@ def test_readme_lists_every_config_key():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,named",
     [
-        "r = 1e200\ntheta = 1.5\n",  # r^2 overflows
-        "r = 1e5\ntheta = 1.5\n",  # the derived n_max would be 6e10
-        "r = 1e5\ntheta = 1.5\nn_max = 50\n",
-        "r = 20\ntheta = 1.5\n",  # nbar = 400 fits, its derived n_max 2400 does not
-        "r = 2\ntheta = 1.5\nn_max = 100000\n",
-        "r = 2\ntheta = 1.5\nphase_count = 1e12\n",
-        "r = 2\ntheta = 1.5\nphase_count = 1000000000000\n",
-        "r = 2\ntheta = 1.5\nphase_count = 362\n",
-        "r = 2\ntheta = 1.5\nx_step = 1e-9\n",
-        "r = 2\ntheta = 1.5\nx_min = -1e308\nx_max = 1e308\n",  # the span overflows to inf
-        "r = 2\ntheta = 1.5\nx_step = 0.001\nx_min = -10.0\nx_max = 10.001\n",
-        "r = 2\ntheta = 1.5\nwigner_step = 1e-7\n",
-        "r = 2\ntheta = 1.5\nwigner_range = 1e308\nwigner_step = 1e-10\n",
-        "r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 1e12\n",
-        "r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 1000000000000\n",
-        "r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 10001\n",
+        ("r = 1e200\ntheta = 1.5\n", "r^2"),  # r^2 overflows
+        ("r = 1e5\ntheta = 1.5\n", "r^2"),  # the derived n_max would be 6e10
+        ("r = 1e5\ntheta = 1.5\nn_max = 50\n", "r^2"),
+        ("r = 20\ntheta = 1.5\n", "n_max"),  # nbar = 400 fits, its derived n_max 2400 does not
+        ("r = 2\ntheta = 1.5\nn_max = 100000\n", "n_max"),
+        ("r = 2\ntheta = 1.5\nphase_count = 1e12\n", "phase_count"),
+        ("r = 2\ntheta = 1.5\nphase_count = 1000000000000\n", "phase_count"),
+        ("r = 2\ntheta = 1.5\nphase_count = 362\n", "phase_count"),
+        ("r = 2\ntheta = 1.5\nx_step = 1e-9\n", "x grid"),
+        ("r = 2\ntheta = 1.5\nx_max = 1e308\n", "x grid"),  # x_max / x_step overflows to inf
+        ("r = 2\ntheta = 1.5\nx_step = 0.0005\nx_max = 5.0005\n", "x grid has 20003 points"),
+        ("r = 2\ntheta = 1.5\nwigner_step = 1e-7\n", "wigner grid"),
+        ("r = 2\ntheta = 1.5\nwigner_range = 1e308\nwigner_step = 1e-10\n", "wigner grid"),
+        ("r = 2\ntheta = 1.5\nwigner_step = 0\n", "wigner grid"),
+        ("r = 2\ntheta = 1.5\nwigner_range = -1\n", "wigner grid"),
+        ("r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 1e12\n", "noise_runs"),
+        ("r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 1000000000000\n", "noise_runs"),
+        ("r = 2\ntheta = 1.5\nnoise_magnitude = 0.25\nnoise_runs = 10001\n", "noise_runs"),
     ],
     ids=[
         "r-1e200", "r-1e5", "r-1e5-n_max-50", "r-20", "n_max-1e5",
         "phase_count-1e12", "phase_count-10^12", "phase_count-362",
-        "x_step-1e-9", "x_span-inf", "x_points-20002",
-        "wigner_step-1e-7", "wigner_axis-inf",
+        "x_step-1e-9", "x_span-inf", "x_points-20003",
+        "wigner_step-1e-7", "wigner_axis-inf", "wigner_step-0", "wigner_range--1",
         "noise_runs-1e12", "noise_runs-10^12", "noise_runs-10001",
     ],
 )
-def test_oversized_state_exits_2(tmp_path, capsys, text):
+def test_oversized_state_exits_2(tmp_path, capsys, text, named):
     config = write_config(tmp_path, text)
     assert main(["cat-state", "--config", str(config)]) == 2
-    _assert_one_line_config_error(capsys)
+    assert named in _assert_one_line_config_error(capsys)
 
 
 def test_x_grid_limit_counts_the_rounded_nodes(tmp_path, capsys):
-    """(x_max - x_min) / x_step + 1 is 20,001.2 here, but x_grid() rounds both
-    ends outward to 20,002 nodes."""
-    text = "r = 2\ntheta = 1.5\nx_step = 0.001\nx_min = -9.9996\nx_max = 10.0006\n"
+    """x_max is the half-width: 10.001 / 0.001 rounds to n = 10,001 steps a side,
+    so the grid has 2n + 1 = 20,003 nodes, two more than the limit. (10.0005 would
+    not do: round(10000.5) is 10,000.)"""
+    text = "r = 2\ntheta = 1.5\nx_step = 0.001\nx_max = 10.001\n"
     assert main(["cat-state", "--config", str(write_config(tmp_path, text))]) == 2
-    assert "x grid has 20002 points" in _assert_one_line_config_error(capsys)
+    assert "x grid has 20003 points" in _assert_one_line_config_error(capsys)
 
 
 @pytest.mark.parametrize(
@@ -461,7 +473,7 @@ def test_x_grid_limit_counts_the_rounded_nodes(tmp_path, capsys):
     [
         ("r = 12.88\ntheta = 1.5\n", 3601),  # nbar 165.9, the derived n_max 996
         (BASE_CONFIG + "x_step = 0.001\n", 12001),
-        (BASE_CONFIG + "x_step = 0.001\nx_min = -10.0\nx_max = 10.0\n", 20001),
+        (BASE_CONFIG + "x_step = 0.001\nx_max = 10.0\n", 20001),
         (BASE_CONFIG + "phase_count = 181\n", 1201),
         (BASE_CONFIG + "phase_count = 361\n", 1201),
         (BASE_CONFIG + "wigner_step = 0.005\n", 1201),

@@ -43,8 +43,8 @@ def _assert_one_line_config_error(capsys):
     [
         "search_re_max = 1e9\n",  # a 1.46 TiB scan axis at step 0.005
         "search_re_min = -1e308\nsearch_re_max = 1e308\n",  # the span overflows to inf
-        "search_re_max = 202.03\n",  # 40,403 points
-        "search_im_min = -0.5\nsearch_im_max = 0.5\n",  # 891 x 201 points
+        "search_re_max = 202.0\n",  # 40,403 points from the default search_re_min, -0.01
+        "search_re_max = 4.44\nsearch_im_min = -0.5\nsearch_im_max = 0.5\n",  # 891 x 201 points
         # 2 x 25,000 points, though span / step + 1 per axis reads 1.6 x 24,999.6 = 39,999
         "search_re_min = 0.0\nsearch_re_max = 0.003\nsearch_im_min = 0.0\nsearch_im_max = 124.993\n",
     ],
@@ -129,12 +129,17 @@ def test_wigner_limit_counts_the_axis_wigner_oracle_writes(wigner_range, wigner_
 
 
 @pytest.mark.parametrize(
-    "extra",
-    ["noise_runs = 1000000000000\n", "noise_runs = 5\n", "noise_seed = 7\n"],
-    ids=["runs-10^12", "runs-5", "seed-7"],
+    "command,extra",
+    [
+        ("cat-state", "noise_runs = 1000000000000\n"),
+        ("cat-state", "noise_runs = 5\n"),
+        ("cat-state", "noise_seed = 7\n"),
+        ("noise-study", ""),  # a study with no noise to draw
+    ],
+    ids=["runs-10^12", "runs-5", "seed-7", "noise-study-no-magnitude"],
 )
-def test_noise_knobs_without_magnitude_exit_2(tmp_path, capsys, extra):
-    assert _run(tmp_path, "cat-state", BASE_CONFIG + extra) == 2
+def test_noise_knobs_without_magnitude_exit_2(tmp_path, capsys, command, extra):
+    assert _run(tmp_path, command, BASE_CONFIG + extra) == 2
     assert "noise_magnitude" in _assert_one_line_config_error(capsys)
 
 

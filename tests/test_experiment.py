@@ -29,7 +29,7 @@ from catscan import (
     slice_terms,
     wigner_superposition,
 )
-from catscan.experiment import SCAN_STEP, _slice_factors
+from catscan.experiment import SCAN_STEP, _default_search_region, _slice_factors
 
 SQRT5 = math.sqrt(5.0)
 
@@ -362,15 +362,38 @@ def test_monte_carlo_without_probe_builds_clean_table_once(monkeypatch):
     assert abs(report.location[0] - 0.3346) < 0.01
 
 
-def test_monte_carlo_without_probe_or_region_scans_0_to_2r_at_0_01():
+def test_monte_carlo_without_probe_or_region_scans_the_default_region_at_0_01():
     spec = CatSpec(SQRT5, math.pi / 2)
     state = make_cat(spec, default_n_max(spec.mean_photon))
     table = extend_phases(build_table(state, default_phases(), default_x_grid(spec.mean_photon)))
     config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
-    want = find_minimum(
-        lambda u, v: reconstruct_at(table, u, v, config), ((0.0, 2.0 * SQRT5), (0.0, 0.0)), 0.01
-    )
+    region = _default_search_region(SQRT5)
+    assert region == ((-0.01, 2.0 * SQRT5), (0.0, 0.0))
+    want = find_minimum(lambda u, v: reconstruct_at(table, u, v, config), region, 0.01)
     assert monte_carlo_study(spec, NoiseSpec(0.25, 2, 3)).location == want.location
+
+
+def test_monte_carlo_without_probe_finds_a_minus_cat_at_the_origin():
+    """The default region's lower edge is one 0.01 step below the origin, the minimum."""
+    report = monte_carlo_study(CatSpec(SQRT5, math.pi / 2, "minus"), NoiseSpec(0.25, 3, 0))
+    assert report.location == (0.0, 0.0)
+    assert report.value == pytest.approx(-3.999822, abs=5e-7)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), magnitude=st.sampled_from([0.25, 0.5]))
+def test_monte_carlo_spread_matches_the_exact_one(cat_table, seed, magnitude):
+    """A run is sum_i (1 + eps_i) W_i with independent eps_i ~ U[-m, m], so its spread
+    is sigma = (m / sqrt 3) ||W||_2. A sum of uniforms has negative excess kurtosis, so
+    the sample variance s^2 of R runs has Var(s^2) <= 2 sigma^4 / (R - 1); allow six of
+    those standard deviations."""
+    runs, probe = 200, (0.3346, 0.0)
+    report = monte_carlo_study(
+        CatSpec(SQRT5, math.pi / 2), NoiseSpec(magnitude, runs, seed), probe_point=probe
+    )
+    shares = slice_terms(cat_table, *probe, ReconstructionConfig.for_mean_photon(5.0))
+    sigma = magnitude / math.sqrt(3.0) * np.linalg.norm(shares * PAPER_SCALE)
+    assert abs(report.stddev**2 / sigma**2 - 1.0) <= 6.0 * math.sqrt(2.0 / (runs - 1))
 
 
 def _explicit_study(spec, noise, probe):
