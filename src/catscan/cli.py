@@ -19,7 +19,7 @@ from .experiment import (  # SCAN_STEP and SEARCH_POINT_LIMIT are re-exported
     _scan_points, _uniform_draws, default_n_max, monte_carlo_study,
 )
 from .fock import mean_photon_number, vacuum
-from .quadrature import build_table, default_phases, default_x_grid
+from .quadrature import _check_slice_areas, build_table, default_phases, default_x_grid
 from .tomography import (
     ReconstructionConfig,
     extend_phases,
@@ -258,10 +258,15 @@ def _cmd_ghz(args) -> int:
     return 0 if ok else EXIT_OTHER
 
 
+def _config_table(cfg: ExperimentConfig):
+    """The config's cat measured on its phases and x grid, each slice kept on the grid."""
+    table = build_table(make_cat(cfg.cat, cfg.n_max), cfg.phases(), cfg.x_grid())
+    return _check_slice_areas(table)
+
+
 def _cmd_quadrature(args) -> int:
     cfg = args.config_data
-    state = make_cat(cfg.cat, cfg.n_max)
-    table = build_table(state, cfg.phases(), cfg.x_grid())
+    table = _config_table(cfg)
     path = _out_path(args, "_quadrature.csv")
     table.to_csv(path)
     print(f"wrote {path} ({table.phases.size} phases x {table.x_grid.size} points)")
@@ -280,7 +285,7 @@ def _cmd_wigner_oracle(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     cfg = args.config_data
-    table = build_table(make_cat(cfg.cat, cfg.n_max), cfg.phases(), cfg.x_grid())
+    table = _config_table(cfg)
     report = _clean_scan(table, cfg.recon, cfg.search_region, convention=args.convention)
     path = _out_path(args, "_minimum.json")
     report.to_json(path)

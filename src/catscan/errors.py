@@ -27,3 +27,7 @@ class SymmetryViolation(CatscanError):
 
 class RegionError(CatscanError):
     """A search landed on the boundary of its region."""
+
+
+class NonFiniteResult(CatscanError, ValueError):
+    """A computed result is NaN or infinite, so no artifact can hold it."""

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .fock import FockVector
+from .errors import InvalidArgument, TruncationError
+from .fock import LEAKAGE_TOL, FockVector
 
 
 @dataclass(frozen=True)
@@ -157,3 +157,23 @@ def build_table(state: FockVector, phases: np.ndarray, x_grid: np.ndarray) -> Qu
     rotated = state.amplitudes * np.exp(-1j * np.multiply.outer(phases, n))
     rows = (rotated.real @ h) ** 2 + (rotated.imag @ h) ** 2
     return QuadratureTable(phases, x_grid, rows)
+
+
+def _check_slice_areas(table: QuadratureTable) -> QuadratureTable:
+    """table, once every slice keeps at least 1 - LEAKAGE_TOL of its probability on
+    the x grid (its area density.sum(1) * step); TruncationError otherwise.
+
+    A grid narrower than the state cuts its slices off, and the reconstruction
+    from them is wrong without a sign of it: r = 2, theta = 1.5 on x_max = 2
+    keeps 0.508 of one slice, and its minimum read -3.230 instead of -3.285.
+    """
+    x = table.x_grid
+    areas = table.density.sum(axis=1) * ((x[-1] - x[0]) / (x.size - 1))
+    worst = int(np.argmin(areas))
+    if areas[worst] < 1.0 - LEAKAGE_TOL:
+        raise TruncationError(
+            f"the slice at phi={table.phases[worst]:.6f} keeps {areas[worst]:.6g} of its "
+            f"probability on x in [{x[0]:.6g}, {x[-1]:.6g}] (tolerance {LEAKAGE_TOL:.1e}); "
+            f"widen the x grid"
+        )
+    return table

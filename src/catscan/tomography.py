@@ -18,6 +18,13 @@ refined by its midpoints. Without the spline factor f(k h) = 1 - (k h)^4 / 768
 densities that vanish at the grid ends, so f(k h) is the engine's only
 departure from reconstruct_closed_form. The k integral uses Gauss-Legendre
 nodes, enough of them to be exact to rounding for every |x - s_i| involved.
+
+The phase sum runs over mirror pairs, slice phi with the slice at pi - phi:
+with a = k u cos(phi) and b = k v sin(phi), the product rules for cos and sin
+give the pair one share in cos a, sin a, cos b and sin b. extend_phases builds
+the mirror as the reversed slice, whose P is conj P; then the share needs no
+sin b, and on the real axis (v = 0) it needs neither cos b nor sin b, so a
+scan along u takes half the trig values of a slice-by-slice sum.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ _MAX_NODES = 1024
 # Largest deviation extend_phases(verify_state=...) allows between a mirrored
 # slice and the directly computed one.
 _SYMMETRY_TOL = 1e-6
+# The phase sum takes its points in blocks of _BLOCK_SIZE // k nodes, so each of
+# its points x k work arrays holds about 256 KB whatever the number of points.
+_BLOCK_SIZE = 2**15
 
 
 @dataclass(frozen=True)
@@ -193,29 +203,97 @@ def _points(re_pts, im_pts):
     return u, v, float(np.max(np.hypot(u, v), initial=0.0))
 
 
-def _phase_sum(re_p, im_p, phases, k, k_weights, u, v):
-    """Each slice's (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from Re P
-    and Im P at the k nodes (slices x nodes): shape (slices,) + point shape."""
-    scale = _phase_weights(phases)[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
-    # Re[P e^{-i k s}] = Re P cos(k s) + Im P sin(k s)
-    terms = np.empty(phases.shape + np.broadcast_shapes(u.shape, v.shape))
-    for i, phi in enumerate(phases):
-        arg = np.multiply.outer(u * math.cos(phi) + v * math.sin(phi), k)
-        terms[i] = np.cos(arg) @ (re_p[i] * scale[i]) + np.sin(arg) @ (im_p[i] * scale[i])
-    return terms
+def _pairs(phases: np.ndarray) -> list[tuple[int, int]]:
+    """Mirror pairs (j, m), j < m, with phases[m] = pi - phases[j] within 1e-12, in order
+    of j; (j, j) for a slice with no partner (pi/2, or the 0 of a grid that tiles [0, pi))."""
+    gaps = np.abs(np.add.outer(phases, phases) - math.pi)
+    nearest = np.argmin(gaps, axis=1)
+    index = np.arange(phases.size)
+    partner = np.where(gaps[index, nearest] < 1e-12, nearest, index)
+    return [(j, int(m)) for j, m in enumerate(partner) if m >= j]
 
 
-def _slice_total(terms, re_pts, im_pts):
-    """Terms summed in phase order (np.sum would pair them differently): a float
-    when both point inputs are 0-d, else an array of their broadcast shape."""
-    out = np.zeros(terms.shape[1:])
-    for term in terms:
-        out += term
+def _pair_share(a, b, even, odd):
+    """sum_k cos b [even_0 cos a + even_1 sin a] + sin b [odd_0 cos a + odd_1 sin a]
+    over the points x k phases a and b, which it overwrites.
+
+    b is None on the real axis (cos b = 1, sin b = 0) and odd is None for a
+    conjugate pair (odd = 0). Each shortcut drops only exact ones and zeros
+    and keeps the general formula's buffers, so it returns the same values.
+    """
+    sin_a = np.sin(a)
+    cos_a = np.cos(a, out=a)
+    if b is None:
+        return cos_a @ even[0] + sin_a @ even[1]
+    odd_share = 0.0
+    if odd is not None:
+        sin_b = np.sin(b)
+        odd_share = (sin_b * cos_a) @ odd[0] + (sin_b * sin_a) @ odd[1]
+    cos_b = np.cos(b, out=b)
+    cos_a *= cos_b
+    sin_a *= cos_b
+    return cos_a @ even[0] + sin_a @ even[1] + odd_share
+
+
+def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
+    """Each mirror pair's share of W, in _pairs order: shape (pairs,) + point shape.
+
+    Slice i brings (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from
+    Re P and Im P at the k nodes (slices x nodes). With a = k u cos(phi) and
+    b = k v sin(phi), slice phi brings Re P cos(a + b) + Im P sin(a + b) and its
+    mirror at pi - phi brings Re P' cos(b - a) + Im P' sin(b - a), so the pair's
+    share is
+
+        cos b [(Re P + Re P') cos a + (Im P - Im P') sin a]
+        + sin b [(Im P + Im P') cos a + (Re P' - Re P) sin a],
+
+    each P weighted; a slice with no partner takes P' = 0. When the pair's
+    density rows are exact reverses of each other (as extend_phases builds
+    them) and weighted alike, P' = conj P and the second bracket is zero. It
+    is decided from density, not from P, whose rows need not come out of the
+    matrix product as exact conjugates; without density every pair takes the
+    general form. When every v is 0, cos b = 1 and sin b = 0.
+    """
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    weights = _phase_weights(phases)
+    scale = weights[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
+    re_w, im_w = re_p * scale, im_p * scale
+    real_axis = not np.any(v)
+    u, v = (np.broadcast_to(w, shape).ravel() for w in (u, v))
+    pairs = []
+    for j, m in _pairs(phases):
+        re_m, im_m = (re_w[m], im_w[m]) if m != j else (0.0, 0.0)
+        conjugate = (
+            density is not None
+            and m != j
+            and weights[j] == weights[m]
+            and np.array_equal(density[m], density[j, ::-1])
+        )
+        even = (re_w[j] + re_m, im_w[j] - im_m)
+        odd = None if conjugate else (im_w[j] + im_m, re_m - re_w[j])
+        pairs.append((math.cos(phases[j]), math.sin(phases[j]), even, odd))
+    shares = np.empty((len(pairs), u.size))
+    block = max(1, _BLOCK_SIZE // k.size)
+    for lo in range(0, u.size, block):
+        u_block, v_block = u[lo : lo + block], v[lo : lo + block]
+        for n, (cos_phi, sin_phi, even, odd) in enumerate(pairs):
+            a = np.multiply.outer(u_block * cos_phi, k)
+            b = None if real_axis else np.multiply.outer(v_block * sin_phi, k)
+            shares[n, lo : lo + block] = _pair_share(a, b, even, odd)
+    return shares.reshape((len(pairs),) + shape)
+
+
+def _slice_total(shares, re_pts, im_pts):
+    """Pair shares summed in pair order (np.sum would group them differently): a
+    float when both point inputs are 0-d, else an array of their broadcast shape."""
+    out = np.zeros(shares.shape[1:])
+    for share in shares:
+        out += share
     return float(out[0]) if np.ndim(re_pts) == np.ndim(im_pts) == 0 else out
 
 
 def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """Each slice's term of W (phys convention): shape (slices,) + point shape."""
+    """Each mirror pair's share of W (phys convention): shape (pairs,) + point shape."""
     u, v, reach = _points(re_pts, im_pts)
     x, density = table.x_grid, table.density
     if x.size < 4:
@@ -232,7 +310,7 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     mirrored = density[:, ::-1]
     re_p = (density + mirrored)[:, half:] @ cos_table
     im_p = (density - mirrored)[:, half:] @ sin_table
-    return _phase_sum(re_p, im_p, table.phases, k, k_weights, u, v)
+    return _phase_sum(re_p, im_p, table.phases, k, k_weights, u, v, density)
 
 
 def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
@@ -244,14 +322,10 @@ def slice_terms(table: QuadratureTable, u: float, v: float, config: Reconstructi
     """Each measured slice's share of W(u, v), its mirror included (phys convention).
 
     table covers [0, pi/2]; extend_phases appends the mirrors in reverse, so
-    extended slice j folds onto measured slice min(j, n_ext - 1 - j). The
-    shares sum to reconstruct_at(extend_phases(table), u, v, config).
+    the mirror pairs of the extended table are the measured slices in order.
+    The shares sum to reconstruct_at(extend_phases(table), u, v, config).
     """
-    terms = _back_project(extend_phases(table), u, v, config)[:, 0]
-    j = np.arange(terms.size)
-    shares = np.zeros(table.phases.size)
-    np.add.at(shares, np.minimum(j, terms.size - 1 - j), terms)
-    return shares
+    return _back_project(extend_phases(table), u, v, config)[:, 0]
 
 
 def reconstruct(
@@ -291,5 +365,5 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
         return overlap[i, j] + offsets[i] * xi.conj() - np.conj(offsets[j]) * xi
 
     char = _pair_sum(coeffs, exponent, 2j * (np.conj(mean) * xi).imag - 0.5 * np.abs(xi) ** 2) / norm
-    slices = _phase_sum(char.real, char.imag, phases, k, k_weights, u, v)
-    return _slice_total(slices, re_pts, im_pts)
+    shares = _phase_sum(char.real, char.imag, phases, k, k_weights, u, v)
+    return _slice_total(shares, re_pts, im_pts)

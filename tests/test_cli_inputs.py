@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catscan import InvalidArgument, QuadratureTable, RegionError, WignerGrid, find_minimum
+import catscan.cli as cli_module
+from catscan import (
+    InvalidArgument, MinimumReport, QuadratureTable, RegionError, WignerGrid, find_minimum,
+)
 from catscan.cli import (
     SCAN_STEP, SEARCH_POINT_LIMIT, WIGNER_AXIS_LIMIT, _scan_points, main, parse_config,
 )
@@ -247,3 +250,29 @@ def test_cli_exits_with_an_artifact_or_a_documented_code(command, text):
             assert code in (2, 3, 5, 6)
             err = stderr.getvalue()
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["quadrature", "reconstruct", "noise-study"])
+@pytest.mark.parametrize("x_max", ["2.0", "0.02"])
+def test_x_grid_narrower_than_the_state_exits_3(tmp_path, capsys, command, x_max):
+    """Both grids once gave reconstruct a wrong minimum with exit 0: -3.229848 at
+    (0.4467, 0) on x_max = 2, against -3.285 on the default x_max = 6."""
+    text = f"r = 2\ntheta = 1.5\nx_max = {x_max}\nnoise_magnitude = 0.25\nout_prefix = narrow\n"
+    assert _run(tmp_path, command, text) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncation:") and err.count("\n") == 1
+    assert "of its probability on x in" in err
+    assert not list(tmp_path.glob("narrow*"))
+
+
+@pytest.mark.parametrize("command,target", [
+    ("reconstruct", "_clean_scan"), ("noise-study", "monte_carlo_study"),
+])
+def test_a_report_with_nan_exits_6_and_writes_nothing(tmp_path, capsys, monkeypatch, command, target):
+    nan = MinimumReport((math.nan, 0.0), math.nan, math.nan, 0.0, "paper")
+    monkeypatch.setattr(cli_module, target, lambda *args, **kwargs: nan)
+    text = BASE_CONFIG + "noise_magnitude = 0.25\nnoise_runs = 2\n"
+    assert _run(tmp_path, command, text) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: report not written:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("smoke*"))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from catscan import (
     CatSpec,
+    CatscanError,
     InvalidArgument,
     MinimumReport,
     NoiseSpec,
@@ -15,6 +16,7 @@ from catscan import (
     QuadratureTable,
     ReconstructionConfig,
     RegionError,
+    TruncationError,
     build_table,
     cat_wigner_terms,
     default_n_max,
@@ -29,6 +31,7 @@ from catscan import (
     slice_terms,
     wigner_superposition,
 )
+from catscan.errors import NonFiniteResult
 from catscan.experiment import SCAN_STEP, _default_search_region, _slice_factors
 
 SQRT5 = math.sqrt(5.0)
@@ -374,9 +377,15 @@ def test_monte_carlo_without_probe_or_region_scans_the_default_region_at_0_01():
 
 
 def test_monte_carlo_without_probe_finds_a_minus_cat_at_the_origin():
-    """The default region's lower edge is one 0.01 step below the origin, the minimum."""
+    """The default region's lower edge is one 0.01 step below the origin, the minimum.
+
+    W(-0.01) and W(0.01) agree to rounding, not bit for bit (Im P of these even
+    slices is rounding noise, and it enters the two points with opposite signs),
+    so the parabola can move the origin by about 1e-16.
+    """
     report = monte_carlo_study(CatSpec(SQRT5, math.pi / 2, "minus"), NoiseSpec(0.25, 3, 0))
-    assert report.location == (0.0, 0.0)
+    assert report.location[0] == pytest.approx(0.0, abs=1e-15)
+    assert report.location[1] == 0.0
     assert report.value == pytest.approx(-3.999822, abs=5e-7)
 
 
@@ -495,8 +504,20 @@ def test_monte_carlo_mean_is_unbiased(seed, magnitude, runs):
     assert abs(report.mean - report.value) <= 5.0 * report.stddev / math.sqrt(runs)
 
 
-def test_report_json_rejects_non_finite_values():
+def test_report_json_rejects_non_finite_values(tmp_path):
+    """A catscan error, so the CLI exits 6 with one line; nothing is written."""
+    path = tmp_path / "report.json"
     for bad in (math.nan, math.inf):
         report = MinimumReport((0.3, 0.0), bad, -3.0, 0.1, "paper")
-        with pytest.raises(ValueError):
-            report.to_json()
+        with pytest.raises(NonFiniteResult, match="report not written"):
+            report.to_json(path)
+        with pytest.raises(CatscanError):
+            MinimumReport((bad, 0.0), -3.0, -3.0, 0.1, "paper").to_json()
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("x_max", [2.0, 0.02])
+def test_monte_carlo_rejects_an_x_grid_narrower_than_the_state(x_max):
+    x = np.arange(-round(x_max / 0.01), round(x_max / 0.01) + 1) * 0.01
+    with pytest.raises(TruncationError, match="probability on x in"):
+        monte_carlo_study(CatSpec(2.0, 1.5), NoiseSpec(0.25, 2, 0), x_grid=x)

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catscan import (
     CatSpec,
     InvalidArgument,
     QuadratureTable,
+    TruncationError,
     WignerGrid,
     build_table,
     cat_wigner_terms,
     coherent_state,
+    default_n_max,
     default_phases,
     default_x_grid,
     make_cat,
@@ -22,6 +26,7 @@ from catscan import (
     vacuum,
     wigner_superposition,
 )
+from catscan.quadrature import _check_slice_areas
 
 SQRT5 = math.sqrt(5.0)
 
@@ -213,3 +218,38 @@ def test_table_validation():
         QuadratureTable(np.array([0.0, 1.0]), np.linspace(-1, 1, 5), np.zeros((3, 5)))
     with pytest.raises(InvalidArgument):
         QuadratureTable(np.array([0.0, 1.0]), np.linspace(-1, 1, 5), -np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("x_max", [2.0, 0.02])
+def test_slice_area_check_rejects_an_x_grid_narrower_than_the_state(x_max):
+    """r = 2, theta = 1.5 keeps 0.508 of one slice on x_max = 2; both grids once
+    reconstructed a wrong minimum without an error."""
+    state = make_cat(CatSpec(2.0, 1.5), 50)
+    x = np.arange(-round(x_max / 0.01), round(x_max / 0.01) + 1) * 0.01
+    with pytest.raises(TruncationError, match="probability on x in"):
+        _check_slice_areas(build_table(state, default_phases(), x))
+
+
+def test_slice_area_check_passes_a_grid_that_holds_the_state():
+    # 0.978 of the widest slice on x_max = 3, 0.99997 on x_max = 4: both too narrow
+    state = make_cat(CatSpec(2.0, 1.5), 50)
+    for half, kept in ((3.0, False), (4.0, False), (6.0, True)):
+        table = build_table(state, default_phases(), np.linspace(-half, half, round(200 * half) + 1))
+        if kept:
+            assert _check_slice_areas(table) is table
+        else:
+            with pytest.raises(TruncationError):
+                _check_slice_areas(table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.floats(min_value=0.05, max_value=4.0),
+    theta=st.floats(min_value=0.01, max_value=math.pi / 2),
+    sign=st.sampled_from(["plus", "minus"]),
+)
+def test_default_grids_keep_every_slice(r, theta, sign):
+    spec = CatSpec(r, theta, sign)
+    state = make_cat(spec, default_n_max(spec.mean_photon))
+    table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
+    assert _check_slice_areas(table) is table

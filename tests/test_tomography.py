@@ -393,17 +393,37 @@ def test_engine_matches_same_phase_closed_form_for_any_cat(r, theta, sign, point
     assert np.max(np.abs(engine - oracle)) <= 1e-6
 
 
-def test_engine_matches_closed_form_of_an_asymmetric_state(monkeypatch):
-    """A coherent state off both axes, on a periodic [0, pi) grid, not extended.
+def _shortcuts_taken(monkeypatch):
+    """Record, per pair, whether _phase_sum takes the conjugate shortcut."""
+    taken = []
+    pair_share = tomography_module._pair_share
+
+    def spy(a, b, even, odd):
+        taken.append(odd is None)
+        return pair_share(a, b, even, odd)
+
+    monkeypatch.setattr(tomography_module, "_pair_share", spy)
+    return taken
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [np.arange(21) * math.pi / 21.0, np.linspace(0.0, math.pi, 21)],
+    ids=["periodic", "closed"],
+)
+def test_engine_matches_closed_form_of_an_asymmetric_state(phases, monkeypatch):
+    """A coherent state off both axes, on a periodic [0, pi) or closed [0, pi]
+    grid, not extended: no mirror pair is a conjugate one.
 
     Every cat is symmetric under v -> -v; this state is not, so the closed
     form of the conjugate state (0.56 away) pins the phase convention.
     """
+    taken = _shortcuts_taken(monkeypatch)
     beta = 1.0 + 0.5j
-    phases = np.arange(21) * math.pi / 21.0
     table = build_table(coherent_state(beta, 40), phases, np.linspace(-5.0, 5.0, 1001))
     cfg = ReconstructionConfig(cutoff_kc=12.0)
     engine = reconstruct_at(table, SQUARE_U, SQUARE_V, cfg)
+    assert taken == [False] * 11
     oracle = reconstruct_closed_form([(1.0, beta)], phases, SQUARE_U, SQUARE_V, cfg)
     assert np.max(np.abs(engine - oracle)) <= 1e-8
     conjugate = reconstruct_closed_form([(1.0, beta.conjugate())], phases, SQUARE_U, SQUARE_V, cfg)
@@ -533,7 +553,7 @@ def _zero_padded(x, values, pad):
 
 
 def _spline_trapezoid_terms(table, u, v, kc, pad=0):
-    """Per-slice terms with each slice's CubicSpline summed on the refined grid.
+    """Pair shares from per-slice terms, each slice's CubicSpline summed on the refined grid.
 
     pad = 0 fits the slice with scipy's not-a-knot ends; pad zero nodes per
     side stand in for the zero-extended (cardinal) spline, whose end
@@ -552,7 +572,13 @@ def _spline_trapezoid_terms(table, u, v, kc, pad=0):
     s = np.multiply.outer(np.cos(phases), u) + np.multiply.outer(np.sin(phases), v)
     phase_factor = np.exp(-1j * np.multiply.outer(s, k))
     sums = np.einsum("im,ipm->ip", char * (kc * weights * k), phase_factor).real
-    return w_phase[:, None] * sums / (4.0 * math.pi**2)
+    return _fold_pairs(w_phase[:, None] * sums / (4.0 * math.pi**2), phases)
+
+
+def _fold_pairs(terms, phases):
+    """Per-slice terms summed over each mirror pair, in the engine's pair order."""
+    pairs = tomography_module._pairs(phases)
+    return np.array([terms[j] + terms[m] if m != j else terms[j] for j, m in pairs])
 
 
 # densities near 1 at the grid ends, where the zero extension moves every term
@@ -612,3 +638,137 @@ def test_reconstruct_rejects_non_uniform_or_tiny_x_grid():
         table = extend_phases(build_table(vacuum(20), default_phases(11), x))
         with pytest.raises(InvalidArgument):
             reconstruct_at(table, 0.0, 0.0, cfg)
+
+
+# closing grids with and without pi/2, a tiling grid with an unpaired 0, the
+# half-step-offset grid, and a closing grid that no slice's mirror lies on
+PAIR_GRIDS = {
+    "closing-with-pi/2": (np.linspace(0.0, math.pi, 21), [(j, 20 - j) for j in range(11)]),
+    "closing-without-pi/2": (np.linspace(0.0, math.pi, 20), [(j, 19 - j) for j in range(10)]),
+    "tiling-from-0": (np.arange(21) * math.pi / 21.0, [(0, 0)] + [(j, 21 - j) for j in range(1, 11)]),
+    "half-step-offset": ((np.arange(16) + 0.5) * math.pi / 16.0, [(j, 15 - j) for j in range(8)]),
+    "closing-shifted": (np.linspace(0.3, 0.3 + math.pi, 15), [(j, j) for j in range(15)]),
+    # slice 0 is an end (half weight), its mirror 7 is not
+    "closing-half-step": (np.linspace(0.5, 8.5, 9) * math.pi / 8.0, [(j, 7 - j) for j in range(4)] + [(8, 8)]),
+}
+
+
+@pytest.mark.parametrize("grid", PAIR_GRIDS, ids=list(PAIR_GRIDS))
+def test_pairs_match_each_slice_with_its_mirror(grid):
+    phases, pairs = PAIR_GRIDS[grid]
+    assert tomography_module._pairs(phases) == pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=722),
+    start=st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi)),
+    closing=st.booleans(),
+    half_step=st.booleans(),
+)
+def test_pairs_cover_each_slice_of_every_accepted_grid_once(n, start, closing, half_step):
+    step = math.pi / (n - 1 if closing else n)
+    if half_step:
+        start = 0.5 * step
+    phases = start + np.arange(n) * step
+    tomography_module._phase_weights(phases)  # the grid is one the phase sum accepts
+    pairs = tomography_module._pairs(phases)
+    members = [j for j, m in pairs] + [m for j, m in pairs if m != j]
+    assert sorted(members) == list(range(n))
+    assert [j for j, _ in pairs] == sorted(j for j, _ in pairs)
+    for j, m in pairs:
+        assert m >= j
+        if m != j:
+            assert abs(phases[j] + phases[m] - math.pi) < 1e-12
+
+
+def _slice_by_slice(re_p, im_p, phases, k, k_weights, u, v):
+    """Each slice's own term (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)]."""
+    scale = tomography_module._phase_weights(phases)[:, None] * k_weights / (4.0 * math.pi**2)
+    s = np.multiply.outer(np.cos(phases), u) + np.multiply.outer(np.sin(phases), v)
+    arg = np.multiply.outer(s, k)
+    return np.einsum("ipk,ik->ip", np.cos(arg), re_p * scale) + np.einsum(
+        "ipk,ik->ip", np.sin(arg), im_p * scale
+    )
+
+
+def _random_char(rng, phases, n_nodes=60, conjugate=False):
+    """Random Re P and Im P at n_nodes k nodes on [0, 12]; conjugate makes P' = conj P
+    for every mirror pair, exactly."""
+    re_p, im_p = rng.normal(size=(2, phases.size, n_nodes))
+    if conjugate:
+        for j, m in tomography_module._pairs(phases):
+            if m != j:
+                re_p[m], im_p[m] = re_p[j], -im_p[j]
+    return (re_p, im_p, *tomography_module._k_rule(12.0, n_nodes))
+
+
+@pytest.mark.parametrize("grid", PAIR_GRIDS, ids=list(PAIR_GRIDS))
+@pytest.mark.parametrize("conjugate", [False, True], ids=["asymmetric", "conjugate"])
+@pytest.mark.parametrize("on_axis", [False, True], ids=["plane", "real-axis"])
+def test_pair_shares_are_the_folded_slice_terms(grid, conjugate, on_axis):
+    phases, _ = PAIR_GRIDS[grid]
+    rng = np.random.default_rng(len(phases))
+    re_p, im_p, k, k_weights = _random_char(rng, phases, conjugate=conjugate)
+    u = rng.uniform(-3.0, 3.0, 12)
+    v = np.zeros(12) if on_axis else rng.uniform(-3.0, 3.0, 12)
+    got = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v)
+    terms = _slice_by_slice(re_p, im_p, phases, k, k_weights, u, v)
+    assert np.max(np.abs(got - _fold_pairs(terms, phases))) <= 1e-13 * np.max(np.abs(terms))
+
+
+def test_conjugate_shortcut_gives_the_general_formula_bit_for_bit():
+    phases = np.linspace(0.0, math.pi, 21)
+    rng = np.random.default_rng(7)
+    re_p, im_p, k, k_weights = _random_char(rng, phases, conjugate=True)
+    density = extend_phases(THETA111_TABLE).density  # rows j and 20 - j are reverses
+    u, v = rng.uniform(-3.0, 3.0, (2, 5, 7))
+    shortcut = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v, density)
+    general = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v)
+    assert np.array_equal(shortcut, general)
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["general", "conjugate"])
+def test_real_axis_shortcut_gives_the_general_formula_bit_for_bit(conjugate):
+    rng = np.random.default_rng(8)
+    a = np.multiply.outer(rng.uniform(-3.0, 3.0, 9), np.linspace(0.0, 12.0, 40))
+    even = tuple(rng.normal(size=(2, 40)))
+    odd = None if conjugate else tuple(rng.normal(size=(2, 40)))
+    shortcut = tomography_module._pair_share(a.copy(), None, even, odd)
+    general = tomography_module._pair_share(a.copy(), np.zeros_like(a), even, odd)
+    assert np.array_equal(shortcut, general)
+    if not conjugate:
+        # and the conjugate shortcut, off the axis, is the general formula with odd = 0
+        b = np.multiply.outer(rng.uniform(-3.0, 3.0, 9), np.linspace(0.0, 12.0, 40))
+        zeros = (np.zeros(40), np.zeros(40))
+        assert np.array_equal(
+            tomography_module._pair_share(a.copy(), b.copy(), even, None),
+            tomography_module._pair_share(a.copy(), b.copy(), even, zeros),
+        )
+
+
+def test_conjugate_shortcut_is_decided_from_the_density_rows(monkeypatch):
+    """Mirror rows that extend_phases builds take the shortcut, whatever rounding
+    the matrix product leaves in P; the unpaired pi/2 slice, a table measured on
+    [0, pi] and the closed form's exact P take the general form."""
+    taken = _shortcuts_taken(monkeypatch)
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    reconstruct_at(extend_phases(THETA111_TABLE), 0.3, 0.2, cfg)
+    assert taken == [True] * 10 + [False]
+    taken.clear()
+    state = make_cat(CatSpec(SQRT5, 1.11), 50)
+    direct = build_table(state, np.linspace(0.0, math.pi, 21), default_x_grid(5.0))
+    reconstruct_at(direct, 0.3, 0.2, cfg)
+    assert taken == [False] * 11
+    taken.clear()
+    reconstruct_closed_form(cat_wigner_terms(CatSpec(SQRT5, 1.11)), direct.phases, 0.3, 0.2, cfg)
+    assert taken == [False] * 11
+    # mirrored rows whose weights differ are no conjugate pair either
+    phases, pairs = PAIR_GRIDS["closing-half-step"]
+    density = np.random.default_rng(9).uniform(0.0, 1.0, (phases.size, 41))
+    for j, m in pairs:
+        density[m] = density[j, ::-1]
+    taken.clear()
+    reconstruct_at(QuadratureTable(phases, np.linspace(-6.0, 6.0, 41), density), 0.3, 0.2, cfg)
+    assert taken == [False, True, True, True, False]
+
