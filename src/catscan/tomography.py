@@ -214,8 +214,9 @@ def _pairs(phases: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _pair_share(a, b, even, odd):
-    """sum_k cos b [even_0 cos a + even_1 sin a] + sin b [odd_0 cos a + odd_1 sin a]
-    over the points x k phases a and b, which it overwrites.
+    """The cos a part, sum_k cos b even_0 cos a + sin b odd_0 cos a, and the sin a
+    part, sum_k cos b even_1 sin a + sin b odd_1 sin a, over the points x k phases
+    a and b, which it overwrites.
 
     b is None on the real axis (cos b = 1, sin b = 0) and odd is None for a
     conjugate pair (odd = 0). Each shortcut drops only exact ones and zeros
@@ -224,19 +225,21 @@ def _pair_share(a, b, even, odd):
     sin_a = np.sin(a)
     cos_a = np.cos(a, out=a)
     if b is None:
-        return cos_a @ even[0] + sin_a @ even[1]
-    odd_share = 0.0
+        return cos_a @ even[0], sin_a @ even[1]
+    cos_odd = sin_odd = 0.0
     if odd is not None:
         sin_b = np.sin(b)
-        odd_share = (sin_b * cos_a) @ odd[0] + (sin_b * sin_a) @ odd[1]
+        cos_odd = (sin_b * cos_a) @ odd[0]
+        sin_odd = (sin_b * sin_a) @ odd[1]
     cos_b = np.cos(b, out=b)
     cos_a *= cos_b
     sin_a *= cos_b
-    return cos_a @ even[0] + sin_a @ even[1] + odd_share
+    return cos_a @ even[0] + cos_odd, sin_a @ even[1] + sin_odd
 
 
 def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
-    """Each mirror pair's share of W, in _pairs order: shape (pairs,) + point shape.
+    """The cos a and sin a parts of each mirror pair's share of W, in _pairs order:
+    shape (2, pairs) + point shape.
 
     Slice i brings (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from
     Re P and Im P at the k nodes (slices x nodes). With a = k u cos(phi) and
@@ -253,6 +256,11 @@ def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
     is decided from density, not from P, whose rows need not come out of the
     matrix product as exact conjugates; without density every pair takes the
     general form. When every v is 0, cos b = 1 and sin b = 0.
+
+    The cos a part is even in u and the sin a part odd. On the real axis of a
+    table that is symmetric in x, the sin a part is rounding noise: added to
+    each pair's cos a part it would round W(u) and W(-u) apart, so _slice_total
+    adds the two parts only once each is summed over the pairs.
     """
     shape = np.broadcast_shapes(u.shape, v.shape)
     weights = _phase_weights(phases)
@@ -272,28 +280,32 @@ def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
         even = (re_w[j] + re_m, im_w[j] - im_m)
         odd = None if conjugate else (im_w[j] + im_m, re_m - re_w[j])
         pairs.append((math.cos(phases[j]), math.sin(phases[j]), even, odd))
-    shares = np.empty((len(pairs), u.size))
+    shares = np.empty((2, len(pairs), u.size))
     block = max(1, _BLOCK_SIZE // k.size)
     for lo in range(0, u.size, block):
         u_block, v_block = u[lo : lo + block], v[lo : lo + block]
         for n, (cos_phi, sin_phi, even, odd) in enumerate(pairs):
             a = np.multiply.outer(u_block * cos_phi, k)
             b = None if real_axis else np.multiply.outer(v_block * sin_phi, k)
-            shares[n, lo : lo + block] = _pair_share(a, b, even, odd)
-    return shares.reshape((len(pairs),) + shape)
+            shares[:, n, lo : lo + block] = _pair_share(a, b, even, odd)
+    return shares.reshape((2, len(pairs)) + shape)
 
 
 def _slice_total(shares, re_pts, im_pts):
-    """Pair shares summed in pair order (np.sum would group them differently): a
-    float when both point inputs are 0-d, else an array of their broadcast shape."""
-    out = np.zeros(shares.shape[1:])
-    for share in shares:
-        out += share
+    """The cos a parts and the sin a parts each summed in pair order (np.sum would
+    group them differently), then added: a float when both point inputs are 0-d,
+    else an array of their broadcast shape."""
+    cos_total, sin_total = np.zeros(shares.shape[:1] + shares.shape[2:])
+    for cos_part, sin_part in zip(*shares):
+        cos_total += cos_part
+        sin_total += sin_part
+    out = cos_total + sin_total
     return float(out[0]) if np.ndim(re_pts) == np.ndim(im_pts) == 0 else out
 
 
 def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """Each mirror pair's share of W (phys convention): shape (pairs,) + point shape."""
+    """The cos a and sin a parts of each mirror pair's share of W (phys convention):
+    shape (2, pairs) + point shape."""
     u, v, reach = _points(re_pts, im_pts)
     x, density = table.x_grid, table.density
     if x.size < 4:
@@ -325,7 +337,7 @@ def slice_terms(table: QuadratureTable, u: float, v: float, config: Reconstructi
     the mirror pairs of the extended table are the measured slices in order.
     The shares sum to reconstruct_at(extend_phases(table), u, v, config).
     """
-    return _back_project(extend_phases(table), u, v, config)[:, 0]
+    return _back_project(extend_phases(table), u, v, config).sum(axis=0)[:, 0]
 
 
 def reconstruct(

@@ -377,15 +377,9 @@ def test_monte_carlo_without_probe_or_region_scans_the_default_region_at_0_01():
 
 
 def test_monte_carlo_without_probe_finds_a_minus_cat_at_the_origin():
-    """The default region's lower edge is one 0.01 step below the origin, the minimum.
-
-    W(-0.01) and W(0.01) agree to rounding, not bit for bit (Im P of these even
-    slices is rounding noise, and it enters the two points with opposite signs),
-    so the parabola can move the origin by about 1e-16.
-    """
+    """The default region's lower edge is one 0.01 step below the origin, the minimum."""
     report = monte_carlo_study(CatSpec(SQRT5, math.pi / 2, "minus"), NoiseSpec(0.25, 3, 0))
-    assert report.location[0] == pytest.approx(0.0, abs=1e-15)
-    assert report.location[1] == 0.0
+    assert report.location == (0.0, 0.0)
     assert report.value == pytest.approx(-3.999822, abs=5e-7)
 
 

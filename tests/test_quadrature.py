@@ -220,13 +220,17 @@ def test_table_validation():
         QuadratureTable(np.array([0.0, 1.0]), np.linspace(-1, 1, 5), -np.ones((2, 5)))
 
 
-@pytest.mark.parametrize("x_max", [2.0, 0.02])
-def test_slice_area_check_rejects_an_x_grid_narrower_than_the_state(x_max):
-    """r = 2, theta = 1.5 keeps 0.508 of one slice on x_max = 2; both grids once
-    reconstructed a wrong minimum without an error."""
-    state = make_cat(CatSpec(2.0, 1.5), 50)
-    x = np.arange(-round(x_max / 0.01), round(x_max / 0.01) + 1) * 0.01
-    with pytest.raises(TruncationError, match="probability on x in"):
+@pytest.mark.parametrize(
+    "theta,x_max,step", [(1.5, 2.0, 0.01), (1.5, 0.02, 0.01), (1.11, 8.0, 0.5)]
+)
+def test_slice_area_check_rejects_a_grid_that_misses_part_of_a_slice(theta, x_max, step):
+    """r = 2, theta = 1.5 keeps 0.508 of one slice on x_max = 2; both narrow grids
+    once reconstructed a wrong minimum without an error. x_max = 8 holds the
+    theta = 1.11 cat, but at step 0.5 one slice's area is 0.9965."""
+    state = make_cat(CatSpec(2.0, theta), 50)
+    x = np.arange(-round(x_max / step), round(x_max / step) + 1) * step
+    message = "probability on x in .* widen the x grid or shorten its step"
+    with pytest.raises(TruncationError, match=message):
         _check_slice_areas(build_table(state, default_phases(), x))
 
 
