@@ -9,20 +9,12 @@ class InvalidArgument(CatscanError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DimensionMismatch(CatscanError, ValueError):
-    """Operands live in Fock spaces of different truncation order."""
-
-
 class ZeroNorm(CatscanError, ValueError):
     """A state vector has (numerically) vanishing norm."""
 
 
 class TruncationError(CatscanError):
     """The truncation order is too small for the requested operation."""
-
-
-class SymmetryViolation(CatscanError):
-    """Data fails a symmetry the operation relies on."""
 
 
 class RegionError(CatscanError):

@@ -315,11 +315,14 @@ def find_minimum(
     the u axis, or of a v axis with more than one node, since the quadratic
     refinement (and the minimum itself) is then unconstrained.
     """
-    if step > 0.01:
-        raise InvalidArgument(f"scan step must be <= 0.01, got {step}")
+    if not 0.0 < step <= 0.01:
+        raise InvalidArgument(f"scan step must lie in (0, 0.01], got {step}")
     (re_lo, re_hi), (im_lo, im_hi) = search_region
-    if not (re_hi > re_lo and im_hi >= im_lo):
-        raise InvalidArgument(f"degenerate search region {search_region!r}")
+    bounds_finite = all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi)))
+    if not (bounds_finite and re_hi > re_lo and im_hi >= im_lo):
+        raise InvalidArgument(
+            f"search region must be finite and non-degenerate, got {search_region!r}"
+        )
 
     us = _scan_axis(re_lo, re_hi, step)
     vs = _scan_axis(im_lo, im_hi, step)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, TruncationError
+from .errors import InvalidArgument, TruncationError
 
 LEAKAGE_TOL = 1e-10
 
@@ -77,7 +77,7 @@ def coherent_state(beta: complex, n_max: int) -> FockVector:
 def inner_product(a: FockVector, b: FockVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.n_max != b.n_max:
-        raise DimensionMismatch(f"mixed truncation orders {a.n_max} and {b.n_max}")
+        raise InvalidArgument(f"mixed truncation orders {a.n_max} and {b.n_max}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 

@@ -36,16 +36,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidArgument, SymmetryViolation
-from .quadrature import QuadratureTable, _grid_axis, build_table
+from .errors import InvalidArgument
+from .quadrature import QuadratureTable, _grid_axis
 from .wigner import WignerGrid, _pair_sum, _superposition
 
 # Gauss-Legendre rules past this size cost seconds to build and tens of MB
 # to tabulate; omega ~ 3800 (kc = 17 with points ~220 from the origin) needs it.
 _MAX_NODES = 1024
-# Largest deviation extend_phases(verify_state=...) allows between a mirrored
-# slice and the directly computed one.
-_SYMMETRY_TOL = 1e-6
 # The phase sum takes its points in blocks of _BLOCK_SIZE // k nodes, so each of
 # its points x k work arrays holds about 256 KB whatever the number of points.
 _BLOCK_SIZE = 2**15
@@ -69,13 +66,14 @@ class ReconstructionConfig:
         return cls(cutoff_kc=2.0 * (2.0 * math.sqrt(mean_photon) + 4.0))
 
 
-def extend_phases(table: QuadratureTable, verify_state=None) -> QuadratureTable:
+def extend_phases(table: QuadratureTable) -> QuadratureTable:
     """Extend a [0, pi/2] table to [0, pi] via p(x, pi - phi) = p(-x, phi).
 
-    The identity holds for states whose Fock amplitudes can be chosen real
-    (conjugation symmetry). When verify_state is given, the extended slices
-    are checked against a direct computation and SymmetryViolation is raised
-    past _SYMMETRY_TOL.
+    Precondition: the state's Fock amplitudes are real up to a global phase
+    (conjugation symmetry, Leonhardt, Measuring the Quantum State of Light,
+    ch. 5). Every make_cat cat meets it, as the tests check over random
+    cats. An asymmetric state must be measured on a full period of pi
+    instead; the engine's general pair form reconstructs that table.
     """
     phases = table.phases
     if phases[0] < -1e-12 or phases[-1] > math.pi / 2 + 1e-9:
@@ -94,19 +92,7 @@ def extend_phases(table: QuadratureTable, verify_state=None) -> QuadratureTable:
             continue
         new_phases.append(mirrored)
         new_rows.append(table.density[i][::-1])
-    out = QuadratureTable(np.array(new_phases), table.x_grid, np.array(new_rows))
-    if verify_state is not None and out.phases.size > phases.size:
-        # the mirrored slices follow the input ones
-        direct = build_table(verify_state, out.phases[phases.size :], table.x_grid)
-        errs = np.max(np.abs(direct.density - out.density[phases.size :]), axis=1)
-        worst = int(np.argmax(errs))
-        if errs[worst] > _SYMMETRY_TOL:
-            raise SymmetryViolation(
-                f"extended slice at phi={direct.phases[worst]:.6f} deviates from the "
-                f"direct distribution by {errs[worst]:.3e} (tol {_SYMMETRY_TOL:.1e}); "
-                f"the state lacks conjugation symmetry"
-            )
-    return out
+    return QuadratureTable(np.array(new_phases), table.x_grid, np.array(new_rows))
 
 
 def _phase_weights(phases: np.ndarray) -> np.ndarray:

@@ -500,7 +500,7 @@ _VALUES = st.one_of(
 _KEYS = st.one_of(st.sampled_from(sorted(_SCHEMA)), st.sampled_from(["colour", "R", "r2"]))
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     r=_NUMBERS,
     theta=st.one_of(st.floats(min_value=0.01, max_value=1.57).map(repr), _NUMBERS),

@@ -74,7 +74,7 @@ def test_search_regions_at_the_limit_parse(tmp_path, extra):
     assert points == SEARCH_POINT_LIMIT
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(
     los=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     long_span=st.floats(-0.01, 250.0),
@@ -109,7 +109,7 @@ def test_search_limit_counts_the_points_find_minimum_scans(los, long_span, short
     assert sizes[0] == points
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(wigner_range=st.floats(0.05, 10.0), wigner_step=st.floats(0.002, 1.0))
 def test_wigner_limit_counts_the_axis_wigner_oracle_writes(wigner_range, wigner_step):
     size = round(2.0 * wigner_range / wigner_step) + 1
@@ -227,7 +227,7 @@ def _finite_artifact(command, out_dir, stdout):
     return all(math.isfinite(x) for x in values)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     command=st.sampled_from(["cat-state", "quadrature", "wigner-oracle", "reconstruct", "noise-study"]),
     text=_configs(),

@@ -112,7 +112,7 @@ def test_perturb_rejects_negative_run(cat_table):
 _WORD_EDGES = st.sampled_from([0, 2**32 - 1, 2**32])
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(
     seed=st.one_of(_WORD_EDGES, st.integers(min_value=0, max_value=2**70)),
     run=st.one_of(_WORD_EDGES, st.integers(min_value=0, max_value=2**40)),
@@ -283,6 +283,16 @@ def test_find_minimum_validation():
         find_minimum(target, region, step=0.02)
     with pytest.raises(InvalidArgument):
         find_minimum(target, ((1.0, -1.0), (0.0, 0.0)))
+    for step in (0.0, -0.005, math.nan):
+        with pytest.raises(InvalidArgument):
+            find_minimum(target, region, step=step)
+    for unbounded in (
+        ((-1.0, math.inf), (0.0, 0.0)),
+        ((-math.inf, 1.0), (0.0, 0.0)),
+        ((-1.0, 1.0), (0.0, math.inf)),
+    ):
+        with pytest.raises(InvalidArgument):
+            find_minimum(target, unbounded)
 
 
 def test_find_minimum_boundary_raises_region_error():
@@ -301,7 +311,7 @@ def test_find_minimum_boundary_raises_region_error():
             find_minimum(bowl, ((0.0, 1.0), (0.0, im_hi)))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(
     re_lo=st.floats(-1.0, 1.0),
     re_nodes=st.integers(2, 40),
@@ -383,7 +393,7 @@ def test_monte_carlo_without_probe_finds_a_minus_cat_at_the_origin():
     assert report.value == pytest.approx(-3.999822, abs=5e-7)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), magnitude=st.sampled_from([0.25, 0.5]))
 def test_monte_carlo_spread_matches_the_exact_one(cat_table, seed, magnitude):
     """A run is sum_i (1 + eps_i) W_i with independent eps_i ~ U[-m, m], so its spread
@@ -483,7 +493,7 @@ def test_minimum_stays_negative_beyond_five_error_bars(theta, probe):
     assert report.mean + 5.0 * error_bar < 0.0
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=50)
 @given(
     seed=st.integers(min_value=0, max_value=2**40 - 1),
     magnitude=st.floats(min_value=0.05, max_value=0.9),

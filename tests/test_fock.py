@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from catscan import (
-    DimensionMismatch,
     FockVector,
     InvalidArgument,
     TruncationError,
@@ -72,7 +71,7 @@ def test_inner_product_conjugate_symmetry():
 
 
 def test_inner_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidArgument):
         inner_product(vacuum(5), vacuum(6))
 
 

@@ -246,7 +246,7 @@ def test_slice_area_check_passes_a_grid_that_holds_the_state():
                 _check_slice_areas(table)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     r=st.floats(min_value=0.05, max_value=4.0),
     theta=st.floats(min_value=0.01, max_value=math.pi / 2),

@@ -45,7 +45,7 @@ def test_coherent_wigner_is_shifted_gaussian():
     assert np.max(np.abs(got - want)) < 1e-14
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     r=st.floats(min_value=0.3, max_value=3.2),
     theta=st.floats(min_value=0.05, max_value=math.pi / 2),
@@ -85,7 +85,7 @@ def test_far_branches_neither_overflow_nor_warn():
     assert np.max(np.abs(grid.values)) <= TWO_OVER_PI
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     log_gap=st.floats(min_value=-8.0, max_value=-2.0),
     theta=st.floats(min_value=0.05, max_value=math.pi / 2),
