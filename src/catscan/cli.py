@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +14,7 @@ from .circuit import (
     BellState, CatSpec, _herald, bell_state, diagonal_basis_amplitudes, make_cat, make_ghz,
 )
 from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
-from .experiment import (  # SCAN_STEP and SEARCH_POINT_LIMIT are re-exported
-    N_MAX_LIMIT, SCAN_STEP, SEARCH_POINT_LIMIT, NoiseSpec, _clean_scan, _default_search_region,
-    _scan_points, _uniform_draws, default_n_max, monte_carlo_study,
-)
+from .experiment import ExperimentConfig, NoiseSpec, _clean_scan, _uniform_draws, monte_carlo_study
 from .fock import mean_photon_number, vacuum
 from .quadrature import _check_slice_areas, build_table, default_phases, default_x_grid
 from .tomography import (
@@ -40,80 +37,6 @@ EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 EXIT_REGION = 5
 EXIT_OTHER = 6
-
-# Size limits on what a config asks to allocate, checked at parse time.
-# 20,001 x points is step 0.001 over [-10, 10].
-X_POINT_LIMIT = 20_001
-# 361 phases is a quarter-degree step over [0, pi/2].
-PHASE_COUNT_LIMIT = 361
-# Each run makes one seeded draw per slice, about 0.25 us each in one vectorised
-# pass on a 2-core Xeon (10,000 runs x 21 slices in 50 ms).
-NOISE_RUNS_LIMIT = 10_000
-# 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
-WIGNER_AXIS_LIMIT = 4_001
-
-
-def _check_grid_size(name: str, points: float, limit: int) -> None:
-    """points counts the nodes the command builds; an overflowed count (inf) fails too."""
-    if not points <= limit:
-        raise InvalidArgument(f"{name} has {points:.6g} points, more than the limit of {limit}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    cat: CatSpec
-    n_max: int
-    phase_count: int
-    x_max: float
-    x_step: float
-    recon: ReconstructionConfig
-    noise: NoiseSpec | None
-    probe: tuple[float, float] | None
-    search_region: tuple[tuple[float, float], tuple[float, float]]
-    wigner_range: float
-    wigner_step: float
-    out_prefix: str
-
-    def __post_init__(self):
-        if not (self.x_step > 0.0 and self.x_max > 0.0):
-            raise InvalidArgument("x grid spec requires x_max > 0 and x_step > 0")
-        _check_grid_size("x grid", 2 * self._x_half() + 1, X_POINT_LIMIT)
-        if not 2 <= self.phase_count <= PHASE_COUNT_LIMIT:
-            raise InvalidArgument(
-                f"phase_count must be in [2, {PHASE_COUNT_LIMIT}], got {self.phase_count}"
-            )
-        if not 1 <= self.n_max <= N_MAX_LIMIT:
-            raise InvalidArgument(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
-        if self.noise is not None and self.noise.runs > NOISE_RUNS_LIMIT:
-            raise InvalidArgument(
-                f"noise_runs must be at most {NOISE_RUNS_LIMIT}, got {self.noise.runs}"
-            )
-        if not (self.wigner_step > 0.0 and self.wigner_range > 0.0):
-            raise InvalidArgument("wigner grid spec requires positive range and step")
-        _check_grid_size("wigner grid axis", self._wigner_axis_size(), WIGNER_AXIS_LIMIT)
-        # reconstruct and probe-less noise-study scan it; find_minimum rejects a degenerate one
-        _check_grid_size("search region scan", _scan_points(self.search_region), SEARCH_POINT_LIMIT)
-
-    def _x_half(self) -> float:
-        """x_grid()'s half-width in whole x_steps, round(x_max / x_step); inf if it overflows."""
-        n = self.x_max / self.x_step
-        return round(n) if math.isfinite(n) else math.inf
-
-    def x_grid(self) -> np.ndarray:
-        n = self._x_half()
-        return np.arange(-n, n + 1) * self.x_step
-
-    def _wigner_axis_size(self) -> float:
-        """round(2 range / step) + 1, the wigner-oracle axis; inf if the quotient overflows."""
-        steps = 2.0 * self.wigner_range / self.wigner_step
-        return round(steps) + 1 if math.isfinite(steps) else math.inf
-
-    def _wigner_axis(self) -> np.ndarray:
-        return np.linspace(-self.wigner_range, self.wigner_range, self._wigner_axis_size())
-
-    def phases(self) -> np.ndarray:
-        return default_phases(self.phase_count)
-
 
 _SCHEMA = {
     "r": float,
@@ -140,7 +63,8 @@ _SCHEMA = {
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a key = value config file (one pair per line, # comments)."""
+    """Parse a key = value config file (one pair per line, # comments); every key
+    left out takes ExperimentConfig's default."""
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -170,44 +94,26 @@ def parse_config(path) -> ExperimentConfig:
     if "r" not in vals or "theta" not in vals:
         raise InvalidArgument(f"{path}: config must set r and theta")
     cat = CatSpec(vals["r"], vals["theta"], vals.get("sign", "plus"))
-    if cat.mean_photon > N_MAX_LIMIT:
-        raise InvalidArgument(
-            f"{path}: mean photon number r^2 = {cat.mean_photon:.6g} exceeds {N_MAX_LIMIT}"
-        )
-    n_max = vals.get("n_max", default_n_max(cat.mean_photon))
-    if "cutoff_kc" in vals:
-        recon = ReconstructionConfig(cutoff_kc=vals["cutoff_kc"])
-    else:
-        recon = ReconstructionConfig.for_mean_photon(cat.mean_photon)
-    noise = None
     if "noise_magnitude" not in vals and ("noise_runs" in vals or "noise_seed" in vals):
         raise InvalidArgument(f"{path}: noise_runs and noise_seed need noise_magnitude")
+    noise = probe = None
     if "noise_magnitude" in vals:
         noise = NoiseSpec(
             magnitude=vals["noise_magnitude"],
             runs=vals.get("noise_runs", 50),
             seed=vals.get("noise_seed", 0),
         )
-    probe = None
     if "probe_re" in vals or "probe_im" in vals:
         probe = (vals.get("probe_re", 0.0), vals.get("probe_im", 0.0))
-    region = tuple(
-        (vals.get(f"search_{axis}_min", lo), vals.get(f"search_{axis}_max", hi))
-        for axis, (lo, hi) in zip(("re", "im"), _default_search_region(cat.r))
-    )
     return ExperimentConfig(
-        cat=cat,
-        n_max=n_max,
-        phase_count=vals.get("phase_count", 11),
-        x_max=vals.get("x_max", float(default_x_grid(cat.mean_photon)[-1])),
-        x_step=vals.get("x_step", 0.01),
-        recon=recon,
+        cat,
+        recon=ReconstructionConfig(vals["cutoff_kc"]) if "cutoff_kc" in vals else None,
         noise=noise,
         probe=probe,
-        search_region=region,
-        wigner_range=vals.get("wigner_range", float(math.ceil(cat.r + 3.0))),
-        wigner_step=vals.get("wigner_step", 0.05),
-        out_prefix=vals.get("out_prefix", "experiment"),
+        search_region=tuple(
+            (vals.get(f"search_{axis}_min"), vals.get(f"search_{axis}_max")) for axis in ("re", "im")
+        ),
+        **{key: value for key, value in vals.items() if key in ExperimentConfig.__dataclass_fields__},
     )
 
 
@@ -301,9 +207,7 @@ def _cmd_noise_study(args) -> int:
     cfg = args.config_data
     if cfg.noise is None:
         raise InvalidArgument("noise-study requires noise_magnitude in the config")
-    noise = cfg.noise
-    if args.seed is not None:
-        noise = replace(noise, seed=args.seed)
+    noise = cfg.noise if args.seed is None else replace(cfg.noise, seed=args.seed)
     report = monte_carlo_study(
         cfg.cat,
         noise,
@@ -333,16 +237,16 @@ def _cmd_verify(args) -> int:
     # check points uniform on [-2.5, 2.5], from the noise study's seeded draws
     alpha_re, alpha_im, u, v = -2.5 + 5.0 * _uniform_draws(seed, range(4), 20)
 
-    spec = CatSpec(math.sqrt(5.0), 1.11)
-    terms = cat_wigner_terms(spec)
-    state = make_cat(spec, 50)
+    experiment = ExperimentConfig(CatSpec(math.sqrt(5.0), 1.11))
+    terms = cat_wigner_terms(experiment.cat)
+    state = make_cat(experiment.cat, experiment.n_max)
     alphas = alpha_re + 1j * alpha_im
     closed = wigner_superposition(terms, alphas)
     worst = max(abs(w - wigner_displaced_parity(state, a)) for w, a in zip(closed, alphas))
     checks.append(("closed form vs displaced parity (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
-    table = extend_phases(build_table(state, default_phases(), default_x_grid(5.0)))
-    recon = ReconstructionConfig.for_mean_photon(5.0)
+    table = extend_phases(build_table(state, experiment.phases(), experiment.x_grid()))
+    recon = experiment.recon
     engine = reconstruct_at(table, u, v, recon)
     worst = float(np.max(np.abs(engine - reconstruct_closed_form(terms, table.phases, u, v, recon))))
     checks.append(("reconstruction vs same-phase closed form (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -14,24 +14,30 @@ from .quadrature import (
     QuadratureTable, _check_slice_areas, build_table, default_phases, default_x_grid,
 )
 from .tomography import ReconstructionConfig, extend_phases, reconstruct_at, slice_terms
-from .wigner import convention_factor
+from .wigner import CONVENTIONS, convention_factor
 
 NOISE_MODELS = ("per_slice_multiplicative",)
 REPORT_SCHEMA = "catscan/minimum-report/1"
 # Largest Fock truncation a config may ask for, and so the largest mean photon
 # number: the quadrature wavefunction table is ~60 MB here on the default grid.
 N_MAX_LIMIT = 1000
-# find_minimum's default scan step
+# Size limits on what an experiment asks to allocate, checked when it is built.
+# 20,001 x points is step 0.001 over [-10, 10].
+X_POINT_LIMIT = 20_001
+# 361 phases is a quarter-degree step over [0, pi/2].
+PHASE_COUNT_LIMIT = 361
+# Each run makes one seeded draw per slice, about 0.25 us each in one vectorised
+# pass on a 2-core Xeon (10,000 runs x 21 slices in 50 ms).
+NOISE_RUNS_LIMIT = 10_000
+# 4,001 points per wigner-oracle axis is step 0.005 over [-10, 10].
+WIGNER_AXIS_LIMIT = 4_001
+# find_minimum's default scan step, at which reconstruct scans the search region
 SCAN_STEP = 0.005
-# reconstruct and a probe-less noise-study scan the search region at SCAN_STEP, as
-# _scan_points counts: 40,401 points is a 1 x 1 window, or a span of 202 on one axis.
+# A probe-less study scans its search region at this step (see monte_carlo_study)
+STUDY_SCAN_STEP = 0.01
+# The search region's points at SCAN_STEP, as _scan_points counts them: 40,401 points
+# is a 1 x 1 window, or a span of 202 on one axis.
 SEARCH_POINT_LIMIT = 40_401
-
-
-def _default_search_region(r: float):
-    """u in [-0.01, 2r], v = 0. Its lower edge is one 0.01 step, two SCAN_STEPs, below 0,
-    so at either step the origin, a minus cat's minimum, has a scan node on each side."""
-    return (-0.01, 2.0 * r), (0.0, 0.0)
 
 
 def default_n_max(mean_photon: float) -> int:
@@ -70,6 +76,94 @@ class NoiseSpec:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_grid_size(name: str, points: float, limit: int) -> None:
+    """points counts the nodes the command builds; an overflowed count (inf) fails too."""
+    if not points <= limit:
+        raise InvalidArgument(f"{name} has {points:.6g} points, more than the limit of {limit}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A cat measured on a phase x quadrature grid, back-projected with a cutoff and
+    probed under slice noise. A field or search bound given as None takes its default.
+    The default search region starts one 0.01 step, two SCAN_STEPs, below 0, so at
+    either step the origin, a minus cat's minimum, has a scan node on each side."""
+
+    cat: CatSpec
+    n_max: int | None = None  # default_n_max(r^2)
+    phase_count: int = 11
+    x_max: float | None = None  # the half-width of default_x_grid(r^2)
+    x_step: float = 0.01
+    recon: ReconstructionConfig | None = None  # ReconstructionConfig.for_mean_photon(r^2)
+    noise: NoiseSpec | None = None
+    probe: tuple[float, float] | None = None
+    search_region: tuple[tuple[float, float], tuple[float, float]] | None = None  # u in [-0.01, 2r]
+    wigner_range: float | None = None  # ceil(r + 3)
+    wigner_step: float = 0.05
+    out_prefix: str = "experiment"
+
+    def __post_init__(self):
+        nbar = self.cat.mean_photon
+        if nbar > N_MAX_LIMIT:
+            raise InvalidArgument(f"mean photon number r^2 = {nbar:.6g} exceeds {N_MAX_LIMIT}")
+        defaults = {
+            "n_max": default_n_max(nbar),
+            "x_max": float(default_x_grid(nbar)[-1]),
+            "recon": ReconstructionConfig.for_mean_photon(nbar),
+            "wigner_range": float(math.ceil(self.cat.r + 3.0)),
+        }
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        region = ((-0.01, 2.0 * self.cat.r), (0.0, 0.0))
+        given = self.search_region or ((None, None), (None, None))
+        object.__setattr__(self, "search_region", tuple(
+            tuple(default if bound is None else bound for bound, default in zip(bounds, axis))
+            for bounds, axis in zip(given, region)
+        ))
+        if not (self.x_step > 0.0 and self.x_max > 0.0):
+            raise InvalidArgument("x grid spec requires x_max > 0 and x_step > 0")
+        _check_grid_size("x grid", 2 * self._x_half() + 1, X_POINT_LIMIT)
+        if not 2 <= self.phase_count <= PHASE_COUNT_LIMIT:
+            raise InvalidArgument(
+                f"phase_count must be in [2, {PHASE_COUNT_LIMIT}], got {self.phase_count}"
+            )
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise InvalidArgument(f"n_max must be in [1, {N_MAX_LIMIT}], got {self.n_max}")
+        if self.noise is not None and self.noise.runs > NOISE_RUNS_LIMIT:
+            raise InvalidArgument(
+                f"noise_runs must be at most {NOISE_RUNS_LIMIT}, got {self.noise.runs}"
+            )
+        if not (self.wigner_step > 0.0 and self.wigner_range > 0.0):
+            raise InvalidArgument("wigner grid spec requires positive range and step")
+        _check_grid_size("wigner grid axis", self._wigner_axis_size(), WIGNER_AXIS_LIMIT)
+        # reconstruct scans it at SCAN_STEP; find_minimum rejects a degenerate one
+        _check_grid_size("search region scan", _scan_points(self.search_region), SEARCH_POINT_LIMIT)
+        # each artifact is <out_prefix><suffix>, a file inside the output directory
+        if self.out_prefix in ("", ".", "..") or "/" in self.out_prefix or "\\" in self.out_prefix:
+            raise InvalidArgument(f"out_prefix must be a file name prefix, got {self.out_prefix!r}")
+
+    def _x_half(self) -> float:
+        """x_grid()'s half-width in whole x_steps, round(x_max / x_step); inf if it overflows."""
+        n = self.x_max / self.x_step
+        return round(n) if math.isfinite(n) else math.inf
+
+    def x_grid(self) -> np.ndarray:
+        n = self._x_half()
+        return np.arange(-n, n + 1) * self.x_step
+
+    def _wigner_axis_size(self) -> float:
+        """round(2 range / step) + 1, the wigner-oracle axis; inf if the quotient overflows."""
+        steps = 2.0 * self.wigner_range / self.wigner_step
+        return round(steps) + 1 if math.isfinite(steps) else math.inf
+
+    def _wigner_axis(self) -> np.ndarray:
+        return np.linspace(-self.wigner_range, self.wigner_range, self._wigner_axis_size())
+
+    def phases(self) -> np.ndarray:
+        return default_phases(self.phase_count)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -257,22 +351,27 @@ class MinimumReport:
 
     @classmethod
     def from_json(cls, source) -> "MinimumReport":
-        text = str(source)  # JSON text, or the path of a file holding it
+        """The report to_json wrote, from its JSON text or the path of a file holding it.
+        What to_json cannot write raises InvalidArgument: another schema, a missing
+        key, NaN or an infinity, or an unknown convention."""
+        text = str(source)
         if not text.lstrip().startswith("{"):
             with open(text) as fh:
                 text = fh.read()
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_reject_constant)
         if payload.get("schema") != REPORT_SCHEMA:
             raise InvalidArgument(f"unknown report schema {payload.get('schema')!r}")
-        return cls(
-            location=(payload["location"][0], payload["location"][1]),
-            value=payload["value"],
-            mean=payload["mean"],
-            stddev=payload["stddev"],
-            convention=payload["convention"],
-            seed=payload.get("seed"),
-            config=payload.get("config"),
-        )
+        missing = [f.name for f in fields(cls) if f.name not in payload]
+        if missing:
+            raise InvalidArgument(f"report lacks {', '.join(missing)}")
+        if payload["convention"] not in CONVENTIONS:
+            raise InvalidArgument(f"unknown convention {payload['convention']!r}")
+        values = {f.name: payload[f.name] for f in fields(cls)}
+        return cls(**values | {"location": tuple(values["location"])})
+
+
+def _reject_constant(token: str):
+    raise InvalidArgument(f"report holds {token}; to_json writes only finite numbers")
 
 
 def _scan_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -389,27 +488,22 @@ def monte_carlo_study(
     XSL-RR state (inc + seed) M^2 + inc (M + 1) mod 2^128 (O'Neill,
     HMC-CS-2014-0905).
     mean and stddev (ddof=1, zero for a single run) summarize the runs.
-    Without a probe, the probe is the minimum reconstruct's clean scan finds in
-    search_region at SCAN_STEP; with no region, in u in [-0.01, 2r], v = 0, at step
-    0.01: that scan is most of a probe-less study, and SCAN_STEP nearly doubles it.
+    n_max, recon_config, phases, x_grid and search_region left None take
+    ExperimentConfig's defaults. Without a probe, the probe is the
+    minimum of the clean reconstruction over search_region, scanned at
+    STUDY_SCAN_STEP (0.01) rather than reconstruct's SCAN_STEP (0.005): that
+    scan is most of a probe-less study, SCAN_STEP would double it, and on the
+    preset regions the refined minimum lands within 3.8e-5 of the finer scan's.
     """
     scale = convention_factor(convention)
-    if n_max is None:
-        n_max = default_n_max(cat.mean_photon)
-    state = make_cat(cat, n_max)
-    if phases is None:
-        phases = default_phases()
-    if x_grid is None:
-        x_grid = default_x_grid(cat.mean_photon)
-    if recon_config is None:
-        recon_config = ReconstructionConfig.for_mean_photon(cat.mean_photon)
-    table = _check_slice_areas(build_table(state, phases, x_grid))
+    experiment = ExperimentConfig(cat, n_max=n_max, recon=recon_config, search_region=search_region)
+    recon_config = experiment.recon
+    phases = experiment.phases() if phases is None else phases
+    x_grid = experiment.x_grid() if x_grid is None else x_grid
+    table = _check_slice_areas(build_table(make_cat(cat, experiment.n_max), phases, x_grid))
     if probe_point is None:
-        region, step = search_region, SCAN_STEP
-        if region is None:
-            # noise25 without its probe, 2-core Xeon: 16 ms at 0.01 (449 nodes), 27 ms at 0.005
-            region, step = _default_search_region(cat.r), 0.01
-        probe_point = _clean_scan(table, recon_config, region, step).location
+        scan = _clean_scan(table, recon_config, experiment.search_region, STUDY_SCAN_STEP)
+        probe_point = scan.location
     u0, v0 = float(probe_point[0]), float(probe_point[1])
     parts = slice_terms(table, u0, v0, recon_config) * scale
     clean_value = float(parts.sum())
@@ -426,7 +520,7 @@ def monte_carlo_study(
             "r": cat.r,
             "theta": cat.theta,
             "sign": cat.sign,
-            "n_max": n_max,
+            "n_max": experiment.n_max,
             "phase_count": int(np.asarray(phases).size),
             "x_range": [float(np.min(x_grid)), float(np.max(x_grid))],
             "cutoff_kc": recon_config.cutoff_kc,

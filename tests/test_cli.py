@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -9,8 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catscan import InvalidArgument, QuadratureTable, WignerGrid, published_branch_weight
-from catscan.cli import _SCHEMA, ExperimentConfig, build_parser, main, parse_config
+from catscan import (
+    CatSpec, InvalidArgument, NoiseSpec, QuadratureTable, WignerGrid, monte_carlo_study,
+    published_branch_weight,
+)
+from catscan.cli import _SCHEMA, build_parser, main, parse_config
+from catscan.experiment import ExperimentConfig
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -45,6 +50,13 @@ def test_parse_config_defaults(tmp_path):
     grid = cfg.x_grid()
     assert grid.size == 1201 and grid[0] == -grid[-1] == -6.0
     assert cfg.phases().size == 11
+
+
+def test_parse_config_of_r_and_theta_is_the_experiment_defaults(tmp_path):
+    cfg = parse_config(write_config(tmp_path, "r = 2.0\ntheta = 1.2\n"))
+    want = ExperimentConfig(CatSpec(2.0, 1.2))
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(cfg, field.name) == getattr(want, field.name), field.name
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -302,6 +314,17 @@ def test_noise_study_without_a_probe_scans_the_search_region(tmp_path, extra, wa
         location, value = want
         assert minimum["location"] == study["location"] == location
         assert minimum["value"] == pytest.approx(value, abs=5e-7)
+
+
+def test_probe_less_noise_study_is_the_library_study(tmp_path):
+    """Without search keys the CLI study scans the default region at the library's step."""
+    text = "r = 2.2360679774997896\ntheta = 1.5707963267948966\nnoise_magnitude = 0.25\n"
+    config = write_config(tmp_path, text + "noise_runs = 3\nout_prefix = smoke\n")
+    assert main(["noise-study", "--config", str(config), "--out", str(tmp_path)]) == 0
+    study = json.loads((tmp_path / "smoke_noise.json").read_text())
+    library = monte_carlo_study(CatSpec(math.sqrt(5.0), math.pi / 2), NoiseSpec(0.25, 3, 0))
+    assert study["location"] == list(library.location)
+    assert study["value"] == library.value
 
 
 def test_verify_command(capsys):

@@ -15,9 +15,8 @@ import catscan.cli as cli_module
 from catscan import (
     InvalidArgument, MinimumReport, QuadratureTable, RegionError, WignerGrid, find_minimum,
 )
-from catscan.cli import (
-    SCAN_STEP, SEARCH_POINT_LIMIT, WIGNER_AXIS_LIMIT, _scan_points, main, parse_config,
-)
+from catscan.cli import main, parse_config
+from catscan.experiment import SCAN_STEP, SEARCH_POINT_LIMIT, WIGNER_AXIS_LIMIT, _scan_points
 
 REPO = Path(__file__).resolve().parents[1]
 BASE_CONFIG = """
@@ -149,12 +148,12 @@ def test_noise_knobs_without_magnitude_exit_2(tmp_path, capsys, command, extra):
 @pytest.mark.parametrize("command", ["quadrature", "wigner-oracle", "reconstruct", "noise-study"])
 def test_unwritable_output_exits_2(tmp_path, capsys, command):
     text = "r = 2.0\ntheta = 1.5\nx_step = 0.05\nnoise_magnitude = 0.25\nnoise_runs = 2\n"
-    # out_prefix naming a directory that does not exist
+    # out_prefix naming a directory is rejected before anything is written
     assert _run(tmp_path, command, text + "out_prefix = sub/dir\n") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+    assert "out_prefix" in _assert_one_line_config_error(capsys)
     # --out naming a file
     config = tmp_path / "exp.cfg"
+    config.write_text(text)
     assert main([command, "--config", str(config), "--out", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output:") and err.count("\n") == 1
@@ -276,3 +275,22 @@ def test_a_report_with_nan_exits_6_and_writes_nothing(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("error: report not written:") and err.count("\n") == 1
     assert not list(tmp_path.glob("smoke*"))
+
+
+@pytest.mark.parametrize(
+    "prefix", ["", ".", "..", "../escaped"], ids=["empty", "dot", "dotdot", "separator"]
+)
+def test_out_prefix_must_name_a_file_inside_out(tmp_path, capsys, prefix):
+    out = tmp_path / "out"
+    out.mkdir()
+    text = BASE_CONFIG.replace("out_prefix = smoke", f"out_prefix = {prefix}")
+    assert _run(out, "quadrature", text) == 2
+    assert "out_prefix" in _assert_one_line_config_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert [p.name for p in out.iterdir()] == ["exp.cfg"]
+
+
+def test_a_plain_out_prefix_writes_inside_out(tmp_path):
+    text = BASE_CONFIG.replace("out_prefix = smoke", "out_prefix = run.1")
+    assert _run(tmp_path, "quadrature", text) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run.1_quadrature.csv"]

@@ -32,7 +32,7 @@ from catscan import (
     wigner_superposition,
 )
 from catscan.errors import NonFiniteResult
-from catscan.experiment import SCAN_STEP, _default_search_region, _slice_factors
+from catscan.experiment import SCAN_STEP, ExperimentConfig, _slice_factors
 
 SQRT5 = math.sqrt(5.0)
 
@@ -224,6 +224,25 @@ def test_minimum_report_rejects_unknown_schema(tmp_path):
         MinimumReport.from_json(path)
 
 
+_REPORT = MinimumReport((0.33, 0.0), -3.16, -3.1, 0.2, "paper", 42, {"runs": 50}).to_json()
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        (_REPORT.replace("-3.16", "NaN"), "NaN"),
+        (_REPORT.replace("-3.1,", "Infinity,"), "Infinity"),
+        (_REPORT.replace('"paper"', '"bogus"'), "convention"),
+        (_REPORT.replace('"seed": 42,', ""), "seed"),
+    ],
+    ids=["nan", "infinity", "convention", "missing-key"],
+)
+def test_minimum_report_reads_only_what_to_json_writes(text, named):
+    assert json.loads(_REPORT) != json.loads(text)
+    with pytest.raises(InvalidArgument, match=named):
+        MinimumReport.from_json(text)
+
+
 def test_find_minimum_exact_on_paraboloid():
     def target(u, v):
         return (u - 0.371) ** 2 + 2.0 * (v + 0.118) ** 2 - 1.5
@@ -375,15 +394,28 @@ def test_monte_carlo_without_probe_builds_clean_table_once(monkeypatch):
     assert abs(report.location[0] - 0.3346) < 0.01
 
 
-def test_monte_carlo_without_probe_or_region_scans_the_default_region_at_0_01():
+@pytest.mark.parametrize("region", [None, ((0.05, 0.85), (0.0, 0.0))], ids=["default", "given"])
+def test_monte_carlo_without_probe_scans_its_region_at_0_01(region):
     spec = CatSpec(SQRT5, math.pi / 2)
     state = make_cat(spec, default_n_max(spec.mean_photon))
     table = extend_phases(build_table(state, default_phases(), default_x_grid(spec.mean_photon)))
     config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
-    region = _default_search_region(SQRT5)
-    assert region == ((-0.01, 2.0 * SQRT5), (0.0, 0.0))
-    want = find_minimum(lambda u, v: reconstruct_at(table, u, v, config), region, 0.01)
-    assert monte_carlo_study(spec, NoiseSpec(0.25, 2, 3)).location == want.location
+    scanned = ExperimentConfig(spec, search_region=region).search_region
+    assert scanned == (region or ((-0.01, 2.0 * SQRT5), (0.0, 0.0)))
+    want = find_minimum(lambda u, v: reconstruct_at(table, u, v, config), scanned, 0.01)
+    report = monte_carlo_study(spec, NoiseSpec(0.25, 2, 3), search_region=region)
+    assert report.location == want.location
+
+
+def test_monte_carlo_defaults_are_the_experiment_defaults():
+    spec = CatSpec(2.0, 1.2)
+    experiment = ExperimentConfig(spec)
+    config = monte_carlo_study(spec, NoiseSpec(0.25, 2, 3), probe_point=(0.4, 0.0)).config
+    assert config["n_max"] == experiment.n_max
+    assert config["phase_count"] == experiment.phase_count == experiment.phases().size
+    assert config["x_range"] == [-experiment.x_max, experiment.x_max]
+    assert config["x_range"] == [experiment.x_grid()[0], experiment.x_grid()[-1]]
+    assert config["cutoff_kc"] == experiment.recon.cutoff_kc
 
 
 def test_monte_carlo_without_probe_finds_a_minus_cat_at_the_origin():
