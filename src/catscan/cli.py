@@ -17,12 +17,7 @@ from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
 from .experiment import ExperimentConfig, NoiseSpec, _clean_scan, _uniform_draws, monte_carlo_study
 from .fock import mean_photon_number, vacuum
 from .quadrature import _check_slice_areas, build_table, default_phases, default_x_grid
-from .tomography import (
-    ReconstructionConfig,
-    extend_phases,
-    reconstruct_at,
-    reconstruct_closed_form,
-)
+from .tomography import ReconstructionConfig, reconstruct_at, reconstruct_closed_form
 from .wigner import (
     CONVENTIONS,
     PAPER_SCALE,
@@ -245,13 +240,13 @@ def _cmd_verify(args) -> int:
     worst = max(abs(w - wigner_displaced_parity(state, a)) for w, a in zip(closed, alphas))
     checks.append(("closed form vs displaced parity (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
-    table = extend_phases(build_table(state, experiment.phases(), experiment.x_grid()))
+    table = build_table(state, experiment.phases(), experiment.x_grid())
     recon = experiment.recon
     engine = reconstruct_at(table, u, v, recon)
     worst = float(np.max(np.abs(engine - reconstruct_closed_form(terms, table.phases, u, v, recon))))
     checks.append(("reconstruction vs same-phase closed form (20 pts)", worst < 1e-6, f"max diff {worst:.2e}"))
 
-    table = extend_phases(build_table(vacuum(20), default_phases(), default_x_grid(0.0)))
+    table = build_table(vacuum(20), default_phases(), default_x_grid(0.0))
     peak = reconstruct_at(table, 0.0, 0.0, ReconstructionConfig(cutoff_kc=8.0))
     dev = abs(peak / (2.0 / math.pi) - 1.0)
     checks.append(("vacuum reconstruction peak vs 2/pi", dev < 0.01, f"rel dev {dev:.2e}"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,8 +13,8 @@ from .errors import InvalidArgument, NonFiniteResult, RegionError
 from .quadrature import (
     QuadratureTable, _check_slice_areas, build_table, default_phases, default_x_grid,
 )
-from .tomography import ReconstructionConfig, extend_phases, reconstruct_at, slice_terms
-from .wigner import CONVENTIONS, convention_factor
+from .tomography import ReconstructionConfig, reconstruct_at, slice_terms
+from .wigner import convention_factor
 
 NOISE_MODELS = ("per_slice_multiplicative",)
 REPORT_SCHEMA = "catscan/minimum-report/1"
@@ -349,30 +349,6 @@ class MinimumReport:
                 fh.write(text + "\n")
         return text
 
-    @classmethod
-    def from_json(cls, source) -> "MinimumReport":
-        """The report to_json wrote, from its JSON text or the path of a file holding it.
-        What to_json cannot write raises InvalidArgument: another schema, a missing
-        key, NaN or an infinity, or an unknown convention."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
-        payload = json.loads(text, parse_constant=_reject_constant)
-        if payload.get("schema") != REPORT_SCHEMA:
-            raise InvalidArgument(f"unknown report schema {payload.get('schema')!r}")
-        missing = [f.name for f in fields(cls) if f.name not in payload]
-        if missing:
-            raise InvalidArgument(f"report lacks {', '.join(missing)}")
-        if payload["convention"] not in CONVENTIONS:
-            raise InvalidArgument(f"unknown convention {payload['convention']!r}")
-        values = {f.name: payload[f.name] for f in fields(cls)}
-        return cls(**values | {"location": tuple(values["location"])})
-
-
-def _reject_constant(token: str):
-    raise InvalidArgument(f"report holds {token}; to_json writes only finite numbers")
-
 
 def _scan_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """find_minimum's nodes on one axis: lo, lo + step, ... up to hi plus half a step."""
@@ -457,10 +433,9 @@ def find_minimum(
 
 
 def _clean_scan(table, recon_config, search_region, step=SCAN_STEP, convention="phys"):
-    """find_minimum of the noiseless reconstruction from table, extended."""
-    ext = extend_phases(table)
+    """find_minimum of the noiseless reconstruction from the measured [0, pi/2] table."""
     return find_minimum(
-        lambda u, v: reconstruct_at(ext, u, v, recon_config), search_region, step, convention
+        lambda u, v: reconstruct_at(table, u, v, recon_config), search_region, step, convention
     )
 
 
@@ -496,7 +471,9 @@ def monte_carlo_study(
     preset regions the refined minimum lands within 3.8e-5 of the finer scan's.
     """
     scale = convention_factor(convention)
-    experiment = ExperimentConfig(cat, n_max=n_max, recon=recon_config, search_region=search_region)
+    experiment = ExperimentConfig(
+        cat, n_max=n_max, recon=recon_config, noise=noise, search_region=search_region
+    )
     recon_config = experiment.recon
     phases = experiment.phases() if phases is None else phases
     x_grid = experiment.x_grid() if x_grid is None else x_grid

@@ -21,10 +21,14 @@ nodes, enough of them to be exact to rounding for every |x - s_i| involved.
 
 The phase sum runs over mirror pairs, slice phi with the slice at pi - phi:
 with a = k u cos(phi) and b = k v sin(phi), the product rules for cos and sin
-give the pair one share in cos a, sin a, cos b and sin b. extend_phases builds
-the mirror as the reversed slice, whose P is conj P; then the share needs no
-sin b, and on the real axis (v = 0) it needs neither cos b nor sin b, so a
-scan along u takes half the trig values of a slice-by-slice sum.
+give the pair one share in cos a, sin a, cos b and sin b. A table measured on
+[0, pi/2] fixes the whole period: for a conjugation-symmetric state (Fock
+amplitudes real up to a global phase; Leonhardt, Measuring the Quantum State
+of Light, ch. 5) p(x, pi - phi) = p(-x, phi), so each measured slice implies
+its mirror, whose P is conj P. Then the share needs no sin b, and on the real
+axis (v = 0) it needs neither cos b nor sin b, so a scan along u takes half
+the trig values of a slice-by-slice sum. A table measured on a full period of
+pi, as an asymmetric state needs, takes the general pair form.
 """
 
 from __future__ import annotations
@@ -66,33 +70,29 @@ class ReconstructionConfig:
         return cls(cutoff_kc=2.0 * (2.0 * math.sqrt(mean_photon) + 4.0))
 
 
-def extend_phases(table: QuadratureTable) -> QuadratureTable:
-    """Extend a [0, pi/2] table to [0, pi] via p(x, pi - phi) = p(-x, phi).
+def _measured_half(phases: np.ndarray) -> bool:
+    """Whether phases lie in [0, pi/2], a measured half whose mirrors the phase sum implies."""
+    return np.min(phases) >= -1e-12 and np.max(phases) <= math.pi / 2 + 1e-9
 
-    Precondition: the state's Fock amplitudes are real up to a global phase
-    (conjugation symmetry, Leonhardt, Measuring the Quantum State of Light,
-    ch. 5). Every make_cat cat meets it, as the tests check over random
-    cats. An asymmetric state must be measured on a full period of pi
-    instead; the engine's general pair form reconstructs that table.
-    """
+
+def _check_measured_half(table: QuadratureTable) -> None:
     phases = table.phases
-    if phases[0] < -1e-12 or phases[-1] > math.pi / 2 + 1e-9:
+    if not _measured_half(phases):
         raise InvalidArgument(
             f"input phases must lie in [0, pi/2], got range "
             f"[{phases[0]:.6f}, {phases[-1]:.6f}]"
         )
-    new_phases = []
-    new_rows = []
-    for i in range(phases.size):
-        new_phases.append(phases[i])
-        new_rows.append(table.density[i])
-    for i in range(phases.size - 1, -1, -1):
-        mirrored = math.pi - phases[i]
-        if mirrored - new_phases[-1] < 1e-12:
-            continue
-        new_phases.append(mirrored)
-        new_rows.append(table.density[i][::-1])
-    return QuadratureTable(np.array(new_phases), table.x_grid, np.array(new_rows))
+
+
+def extend_phases(table: QuadratureTable) -> QuadratureTable:
+    """table itself, once its phases are checked to lie in [0, pi/2].
+
+    The phase sum implies the mirror of each slice of such a table, so
+    nothing is appended. Only the benchmark's wigner-map set-up still calls
+    this; it goes when that call does.
+    """
+    _check_measured_half(table)
+    return table
 
 
 def _phase_weights(phases: np.ndarray) -> np.ndarray:
@@ -199,6 +199,25 @@ def _pairs(phases: np.ndarray) -> list[tuple[int, int]]:
     return [(j, int(m)) for j, m in enumerate(partner) if m >= j]
 
 
+def _mirror_pairs(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int | None]]]:
+    """Each slice's phase weight and the mirror pairs, in order of j.
+
+    A measured half is closed by the mirrors pi - phi in reverse, a mirror
+    within 1e-12 of the last phase not repeated: the weights are that grid's,
+    and each slice j with a distinct mirror is the pair (j, None), whose P'
+    is conj P; pi/2 is (j, j). Any other grid is a full measurement, paired
+    by _pairs.
+    """
+    if not _measured_half(phases):
+        return _phase_weights(phases), _pairs(phases)
+    mirrors = math.pi - phases[::-1]
+    pairs = [(j, None) for j in range(phases.size)]
+    if mirrors[0] - phases[-1] < 1e-12:  # pi/2 is its own mirror
+        mirrors = mirrors[1:]
+        pairs[-1] = (phases.size - 1, phases.size - 1)
+    return _phase_weights(np.concatenate([phases, mirrors]))[: phases.size], pairs
+
+
 def _pair_share(a, b, even, odd):
     """The cos a part, sum_k cos b even_0 cos a + sin b odd_0 cos a, and the sin a
     part, sum_k cos b even_1 sin a + sin b odd_1 sin a, over the points x k phases
@@ -223,9 +242,9 @@ def _pair_share(a, b, even, odd):
     return cos_a @ even[0] + cos_odd, sin_a @ even[1] + sin_odd
 
 
-def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
-    """The cos a and sin a parts of each mirror pair's share of W, in _pairs order:
-    shape (2, pairs) + point shape.
+def _phase_sum(re_p, im_p, phases, k, k_weights, u, v):
+    """The cos a and sin a parts of each mirror pair's share of W, in _mirror_pairs
+    order: shape (2, pairs) + point shape.
 
     Slice i brings (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from
     Re P and Im P at the k nodes (slices x nodes). With a = k u cos(phi) and
@@ -236,12 +255,10 @@ def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
         cos b [(Re P + Re P') cos a + (Im P - Im P') sin a]
         + sin b [(Im P + Im P') cos a + (Re P' - Re P) sin a],
 
-    each P weighted; a slice with no partner takes P' = 0. When the pair's
-    density rows are exact reverses of each other (as extend_phases builds
-    them) and weighted alike, P' = conj P and the second bracket is zero. It
-    is decided from density, not from P, whose rows need not come out of the
-    matrix product as exact conjugates; without density every pair takes the
-    general form. When every v is 0, cos b = 1 and sin b = 0.
+    each P weighted; a slice with no partner takes P' = 0. The mirror a measured
+    half implies has P' = conj P, weighted alike, so the first bracket is
+    2 (Re P cos a + Im P sin a) and the second is zero. When every v is 0,
+    cos b = 1 and sin b = 0.
 
     The cos a part is even in u and the sin a part odd. On the real axis of a
     table that is symmetric in x, the sin a part is rounding noise: added to
@@ -249,22 +266,19 @@ def _phase_sum(re_p, im_p, phases, k, k_weights, u, v, density=None):
     adds the two parts only once each is summed over the pairs.
     """
     shape = np.broadcast_shapes(u.shape, v.shape)
-    weights = _phase_weights(phases)
+    weights, mirror_pairs = _mirror_pairs(phases)
     scale = weights[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
     re_w, im_w = re_p * scale, im_p * scale
     real_axis = not np.any(v)
     u, v = (np.broadcast_to(w, shape).ravel() for w in (u, v))
     pairs = []
-    for j, m in _pairs(phases):
-        re_m, im_m = (re_w[m], im_w[m]) if m != j else (0.0, 0.0)
-        conjugate = (
-            density is not None
-            and m != j
-            and weights[j] == weights[m]
-            and np.array_equal(density[m], density[j, ::-1])
-        )
-        even = (re_w[j] + re_m, im_w[j] - im_m)
-        odd = None if conjugate else (im_w[j] + im_m, re_m - re_w[j])
+    for j, m in mirror_pairs:
+        if m is None:
+            even, odd = (2.0 * re_w[j], 2.0 * im_w[j]), None
+        else:
+            re_m, im_m = (re_w[m], im_w[m]) if m != j else (0.0, 0.0)
+            even = (re_w[j] + re_m, im_w[j] - im_m)
+            odd = (im_w[j] + im_m, re_m - re_w[j])
         pairs.append((math.cos(phases[j]), math.sin(phases[j]), even, odd))
     shares = np.empty((2, len(pairs), u.size))
     block = max(1, _BLOCK_SIZE // k.size)
@@ -308,7 +322,7 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
     mirrored = density[:, ::-1]
     re_p = (density + mirrored)[:, half:] @ cos_table
     im_p = (density - mirrored)[:, half:] @ sin_table
-    return _phase_sum(re_p, im_p, table.phases, k, k_weights, u, v, density)
+    return _phase_sum(re_p, im_p, table.phases, k, k_weights, u, v)
 
 
 def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
@@ -317,13 +331,12 @@ def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: Reconstructio
 
 
 def slice_terms(table: QuadratureTable, u: float, v: float, config: ReconstructionConfig):
-    """Each measured slice's share of W(u, v), its mirror included (phys convention).
-
-    table covers [0, pi/2]; extend_phases appends the mirrors in reverse, so
-    the mirror pairs of the extended table are the measured slices in order.
-    The shares sum to reconstruct_at(extend_phases(table), u, v, config).
+    """Each measured slice's share of W(u, v), its implied mirror included (phys
+    convention). table covers [0, pi/2], so the mirror pairs are the measured
+    slices in order; the shares sum to reconstruct_at(table, u, v, config).
     """
-    return _back_project(extend_phases(table), u, v, config).sum(axis=0)[:, 0]
+    _check_measured_half(table)
+    return _back_project(table, u, v, config).sum(axis=0)[:, 0]
 
 
 def reconstruct(
@@ -348,7 +361,9 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
     This P(k) goes through the engine's own point rule, k rule, phase sum and
     slice total, so the engine differs from this only through its spline
     factor f(k h), and this from the true W only by the cutoff and the phase
-    sampling. Phys convention.
+    sampling. As in the engine, phases in [0, pi/2] imply their mirrors with
+    P' = conj P, which holds for conjugation-symmetric terms such as every
+    cat's. Phys convention.
     """
     coeffs, mean, offsets, overlap, norm = _superposition(terms)
     phases = np.asarray(phases, dtype=np.float64)

@@ -26,7 +26,6 @@ from catscan import (
     default_x_grid,
     diagonal_basis_amplitudes,
     entangle_kerr,
-    extend_phases,
     find_minimum,
     make_cat,
     make_ghz,
@@ -65,9 +64,7 @@ def _oracle_target(spec: CatSpec):
 
 def _recon_target(spec: CatSpec, n_max: int, phase_count: int = 11):
     state = make_cat(spec, n_max)
-    table = extend_phases(
-        build_table(state, default_phases(phase_count), default_x_grid(spec.mean_photon))
-    )
+    table = build_table(state, default_phases(phase_count), default_x_grid(spec.mean_photon))
     config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
 
     def target(u, v):
@@ -160,7 +157,7 @@ def test_criterion_4_negativity_survives_noise():
     noise = NoiseSpec(0.50, 200, SEED)
     negatives = 0
     for run in range(noise.runs):
-        noisy = extend_phases(perturb(table, noise, run))
+        noisy = perturb(table, noise, run)
         value = reconstruct_at(noisy, 0.3346, 0.0, config)
         if value < 0.0:
             negatives += 1

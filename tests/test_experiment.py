@@ -22,7 +22,6 @@ from catscan import (
     default_n_max,
     default_phases,
     default_x_grid,
-    extend_phases,
     find_minimum,
     make_cat,
     monte_carlo_study,
@@ -32,7 +31,7 @@ from catscan import (
     wigner_superposition,
 )
 from catscan.errors import NonFiniteResult
-from catscan.experiment import SCAN_STEP, ExperimentConfig, _slice_factors
+from catscan.experiment import NOISE_RUNS_LIMIT, SCAN_STEP, ExperimentConfig, _slice_factors
 
 SQRT5 = math.sqrt(5.0)
 
@@ -210,37 +209,11 @@ def test_minimum_report_json_roundtrip(tmp_path):
         config={"runs": 50},
     )
     path = tmp_path / "report.json"
-    report.to_json(path)
-    assert MinimumReport.from_json(path) == report
-    assert MinimumReport.from_json(report.to_json()) == report
-    payload = json.loads(report.to_json())
+    text = report.to_json(path)
+    assert path.read_text() == text + "\n"
+    payload = json.loads(text)
     assert payload["schema"] == "catscan/minimum-report/1"
-
-
-def test_minimum_report_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "catscan/minimum-report/9", "location": [0, 0]}))
-    with pytest.raises(InvalidArgument):
-        MinimumReport.from_json(path)
-
-
-_REPORT = MinimumReport((0.33, 0.0), -3.16, -3.1, 0.2, "paper", 42, {"runs": 50}).to_json()
-
-
-@pytest.mark.parametrize(
-    "text,named",
-    [
-        (_REPORT.replace("-3.16", "NaN"), "NaN"),
-        (_REPORT.replace("-3.1,", "Infinity,"), "Infinity"),
-        (_REPORT.replace('"paper"', '"bogus"'), "convention"),
-        (_REPORT.replace('"seed": 42,', ""), "seed"),
-    ],
-    ids=["nan", "infinity", "convention", "missing-key"],
-)
-def test_minimum_report_reads_only_what_to_json_writes(text, named):
-    assert json.loads(_REPORT) != json.loads(text)
-    with pytest.raises(InvalidArgument, match=named):
-        MinimumReport.from_json(text)
+    assert payload["location"] == [0.33, 0.0] and payload["config"] == {"runs": 50}
 
 
 def test_find_minimum_exact_on_paraboloid():
@@ -398,7 +371,7 @@ def test_monte_carlo_without_probe_builds_clean_table_once(monkeypatch):
 def test_monte_carlo_without_probe_scans_its_region_at_0_01(region):
     spec = CatSpec(SQRT5, math.pi / 2)
     state = make_cat(spec, default_n_max(spec.mean_photon))
-    table = extend_phases(build_table(state, default_phases(), default_x_grid(spec.mean_photon)))
+    table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
     config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
     scanned = ExperimentConfig(spec, search_region=region).search_region
     assert scanned == (region or ((-0.01, 2.0 * SQRT5), (0.0, 0.0)))
@@ -442,12 +415,12 @@ def test_monte_carlo_spread_matches_the_exact_one(cat_table, seed, magnitude):
 
 
 def _explicit_study(spec, noise, probe):
-    """Mean and stddev of the perturb -> extend_phases -> reconstruct_at loop."""
+    """Mean and stddev of the perturb -> reconstruct_at loop."""
     state = make_cat(spec, default_n_max(spec.mean_photon))
     table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
     config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
     samples = [
-        PAPER_SCALE * reconstruct_at(extend_phases(perturb(table, noise, run)), probe, 0.0, config)
+        PAPER_SCALE * reconstruct_at(perturb(table, noise, run), probe, 0.0, config)
         for run in range(noise.runs)
     ]
     return np.mean(samples), np.std(samples, ddof=1) if noise.runs > 1 else 0.0
@@ -557,3 +530,13 @@ def test_monte_carlo_rejects_an_x_grid_narrower_than_the_state(x_max):
     x = np.arange(-round(x_max / 0.01), round(x_max / 0.01) + 1) * 0.01
     with pytest.raises(TruncationError, match="probability on x in"):
         monte_carlo_study(CatSpec(2.0, 1.5), NoiseSpec(0.25, 2, 0), x_grid=x)
+
+
+def test_monte_carlo_rejects_runs_past_the_limit():
+    """The library study applies the CLI's limit on noise runs."""
+    with pytest.raises(InvalidArgument, match="noise_runs"):
+        monte_carlo_study(
+            CatSpec(SQRT5, math.pi / 2),
+            NoiseSpec(0.25, NOISE_RUNS_LIMIT + 1, 0),
+            probe_point=(0.3346, 0.0),
+        )

@@ -21,7 +21,6 @@ from catscan import (
     default_n_max,
     default_phases,
     default_x_grid,
-    extend_phases,
     make_cat,
     reconstruct,
     reconstruct_at,
@@ -32,6 +31,8 @@ from catscan import (
 )
 from catscan.circuit import _herald
 from catscan.cli import parse_config
+from catscan.experiment import _clean_scan
+from catscan.tomography import extend_phases
 
 SQRT5 = math.sqrt(5.0)
 TWO_OVER_PI = 2.0 / math.pi
@@ -49,18 +50,22 @@ def test_config_for_mean_photon():
         ReconstructionConfig.for_mean_photon(-1.0)
 
 
-def test_extend_phases_doubles_coverage():
+def _mirrored(table):
+    """The full [0, pi] table a measured half implies: the slice at pi - phi is the
+    slice at phi reversed in x, p(x, pi - phi) = p(-x, phi), and a mirror within
+    1e-12 of the last phase (pi/2) is not repeated."""
+    phases, rows = list(table.phases), list(table.density)
+    for phi, row in zip(table.phases[::-1], table.density[::-1]):
+        if math.pi - phi - phases[-1] >= 1e-12:
+            phases.append(math.pi - phi)
+            rows.append(row[::-1])
+    return QuadratureTable(np.array(phases), table.x_grid, np.array(rows))
+
+
+def test_extend_phases_returns_a_measured_table_unchanged():
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 50)
     table = build_table(state, default_phases(11), default_x_grid(5.0))
-    extended = extend_phases(table)
-    assert extended.phases.size == 21
-    assert extended.phases[0] == 0.0
-    assert extended.phases[-1] == pytest.approx(math.pi, abs=1e-12)
-    # the pi slice is the mirrored 0 slice
-    assert np.array_equal(extended.density[-1], table.density[0][::-1])
-    # the pi/2 slice is kept once, unchanged
-    mid = np.searchsorted(extended.phases, math.pi / 2 - 1e-9)
-    assert np.array_equal(extended.density[mid], table.density[-1])
+    assert extend_phases(table) is table
 
 
 def test_extend_phases_rejects_wide_input():
@@ -69,6 +74,35 @@ def test_extend_phases_rejects_wide_input():
     table = build_table(state, phases, default_x_grid(5.0))
     with pytest.raises(InvalidArgument):
         extend_phases(table)
+
+
+def test_slice_terms_rejects_a_full_table():
+    """A full table would take noise per pair, not per measured slice."""
+    state = make_cat(CatSpec(SQRT5, 0.2), 50)
+    table = build_table(state, np.linspace(0.0, math.pi, 21), default_x_grid(5.0))
+    cfg = ReconstructionConfig.for_mean_photon(5.0)
+    reconstruct_at(table, 0.3, 0.0, cfg)  # a full table reconstructs
+    with pytest.raises(InvalidArgument, match=r"\[0, pi/2\]"):
+        slice_terms(table, 0.3, 0.0, cfg)
+
+
+# measured halves: the pairs the engine takes, and the full grid that weights them
+HALF_GRIDS = {
+    "with-pi/2": (default_phases(11), [(j, None) for j in range(10)] + [(10, 10)], 21),
+    "half-step-offset": ((np.arange(8) + 0.5) * math.pi / 16.0, [(j, None) for j in range(8)], 16),
+    # the one half that would also tile pi as a full grid; it reads as a half
+    "two-phases": (np.array([0.0, math.pi / 2]), [(0, None), (1, 1)], 3),
+}
+
+
+@pytest.mark.parametrize("grid", HALF_GRIDS, ids=list(HALF_GRIDS))
+def test_a_measured_half_is_weighted_as_its_mirrored_grid(grid):
+    phases, pairs, full_size = HALF_GRIDS[grid]
+    full = _mirrored(QuadratureTable(phases, [-1.0, 1.0], np.ones((phases.size, 2)))).phases
+    assert full.size == full_size
+    weights, got = tomography_module._mirror_pairs(phases)
+    assert got == pairs
+    assert np.array_equal(weights, tomography_module._phase_weights(full)[: phases.size])
 
 
 # r in (0.05, 3.2), theta in (0, pi/2], both signs
@@ -91,7 +125,7 @@ def _heralded_cat(r, theta, sign):
 @settings(max_examples=200)
 @given(**CAT_DRAWS)
 def test_cat_amplitudes_are_real_up_to_a_global_phase(r, theta, sign):
-    """extend_phases' precondition holds for every cat make_cat builds.
+    """The implied mirrors' precondition holds for every cat make_cat builds.
 
     Heralding divides the rounding of the branch sum by sqrt(p), so a
     near-degenerate minus cat (r sin(theta) -> 0) is real only to about
@@ -112,17 +146,37 @@ def test_extended_slices_match_the_mirrored_phases(count, r, theta, sign):
     the 1e-6 the removed runtime check allowed."""
     state, prob = _heralded_cat(r, theta, sign)
     x_grid = default_x_grid(r * r)
-    extended = extend_phases(build_table(state, default_phases(count), x_grid))
+    extended = _mirrored(build_table(state, default_phases(count), x_grid))
     direct = build_table(state, extended.phases, x_grid)
     assert np.max(np.abs(direct.density - extended.density)) <= 1e-14 / math.sqrt(prob)
 
 
-def test_reconstruct_requires_extended_phases():
+@settings(max_examples=30)
+@given(**CAT_DRAWS)
+def test_implied_mirrors_match_measured_ones(r, theta, sign):
+    """The measured [0, pi/2] table reconstructs as the table measured on the
+    mirrored full grid, which takes the general pair form. Like the mirrored
+    slices, the difference grows as 1/sqrt(p): |diff| sqrt(p) read at most
+    2.8e-16 over 345 random cats with p down to 1.2e-14."""
+    state, prob = _heralded_cat(r, theta, sign)
+    x_grid = default_x_grid(r * r)
+    measured = build_table(state, default_phases(), x_grid)
+    direct = build_table(state, _mirrored(measured).phases, x_grid)
+    cfg = ReconstructionConfig.for_mean_photon(r * r)
+    u, v = np.array([0.0, 0.3, -0.7, r]), np.array([0.0, 0.0, 1.1, -0.5])
+    diff = np.max(np.abs(reconstruct_at(measured, u, v, cfg) - reconstruct_at(direct, u, v, cfg)))
+    assert diff <= 1e-15 / math.sqrt(prob)
+
+
+def test_reconstruct_reads_a_measured_half():
+    """The theta90 minimum (-3.16) from the 11 measured slices alone."""
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 50)
     table = build_table(state, default_phases(11), default_x_grid(5.0))
     cfg = ReconstructionConfig.for_mean_photon(5.0)
-    with pytest.raises(InvalidArgument):
-        reconstruct_at(table, 0.0, 0.0, cfg)
+    got = reconstruct_at(table, 0.3346, 0.0, cfg)
+    assert abs(2.0 * math.pi * got / -3.16 - 1.0) < 0.03
+    assert got == pytest.approx(reconstruct_at(_mirrored(table), 0.3346, 0.0, cfg), abs=1e-15)
+
 
 
 def test_reconstruct_rejects_phases_short_of_a_period():
@@ -130,7 +184,7 @@ def test_reconstruct_rejects_phases_short_of_a_period():
 
     These tables once reconstructed without an error: the theta90 minimum
     (-3.16) read -1.62 on [0, 2.0] and -2.35 on [0.1, pi - 0.1]. Measurements
-    that stop short of pi/2 leave a hole in the extended grid: -10.80 on
+    that stop short of pi/2 leave a hole in the mirrored grid: -10.80 on
     [0, 0.1, 0.2], -3.1703 for 9 phases on [0, 1.2] and -3.1625 for 10 phases
     0 ... 9 pi / 20, against -3.1620 on the default grid.
     """
@@ -142,9 +196,9 @@ def test_reconstruct_rejects_phases_short_of_a_period():
     short = [[0.0, 0.1, 0.2], np.linspace(0.0, 1.2, 9), np.arange(10) * math.pi / 20.0]
     for table in (
         build_table(state, np.linspace(0.0, 2.0, 11), x),
-        extend_phases(from_01),
+        from_01,
         build_table(state, [0.5], x),
-        *(extend_phases(build_table(state, phases, x)) for phases in short),
+        *(build_table(state, phases, x) for phases in short),
     ):
         with pytest.raises(InvalidArgument, match="period of pi"):
             reconstruct_at(table, 0.3346, 0.0, cfg)
@@ -177,14 +231,14 @@ def test_closed_and_periodic_phase_grids_reconstruct(phases):
 def test_reconstruct_requires_symmetric_x_grid():
     state = make_cat(CatSpec(SQRT5, math.pi / 2), 50)
     x = np.linspace(-5.0, 6.0, 1101)
-    table = extend_phases(build_table(state, default_phases(11), x))
+    table = build_table(state, default_phases(11), x)
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     with pytest.raises(InvalidArgument):
         reconstruct_at(table, 0.0, 0.0, cfg)
 
 
 def test_vacuum_reconstruction_peak():
-    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    table = build_table(vacuum(20), default_phases(11), default_x_grid(1.0))
     peak = reconstruct_at(table, 0.0, 0.0, ReconstructionConfig(cutoff_kc=8.0))
     assert abs(peak / TWO_OVER_PI - 1.0) < 0.01
 
@@ -213,7 +267,7 @@ def _scale_rows(table, factors):
     return QuadratureTable(table.phases, table.x_grid, table.density * np.asarray(factors)[:, None])
 
 
-# 21 and 16 extended slices: pi/2 measured (no mirror of its own) or not
+# 21 and 16 mirrored slices: pi/2 measured (no mirror of its own) or not
 @pytest.mark.parametrize(
     "phases",
     [default_phases(), (np.arange(8) + 0.5) * math.pi / 16.0],
@@ -225,13 +279,13 @@ def test_slice_terms_are_single_slice_reconstructions(phases):
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     for u, v in ((0.3346, 0.0), (-1.2, 0.7), (2.0, -1.5)):
         shares = slice_terms(table, u, v, cfg)
-        # slice i alone: every other row zeroed
+        # slice i and its mirror alone, on the full table: every other row zeroed
         single = [
-            reconstruct_at(extend_phases(_scale_rows(table, unit)), u, v, cfg)
+            reconstruct_at(_mirrored(_scale_rows(table, unit)), u, v, cfg)
             for unit in np.eye(phases.size)
         ]
         assert shares == pytest.approx(single, rel=1e-13, abs=1e-13 * np.max(np.abs(shares)))
-        full = reconstruct_at(extend_phases(table), u, v, cfg)
+        full = reconstruct_at(_mirrored(table), u, v, cfg)
         assert shares.sum() == pytest.approx(full, rel=1e-13)
 
 
@@ -259,8 +313,8 @@ def test_scaling_one_slice_scales_its_share_alone(i, c, u, v):
 def test_reconstruction_linear_in_density():
     xg = default_x_grid(1.0)
     phases = default_phases(11)
-    t1 = extend_phases(build_table(vacuum(20), phases, xg))
-    t2 = extend_phases(build_table(coherent_state(0.8, 30), phases, xg))
+    t1 = build_table(vacuum(20), phases, xg)
+    t2 = build_table(coherent_state(0.8, 30), phases, xg)
     mixed = QuadratureTable(t1.phases, t1.x_grid, 0.3 * t1.density + 0.7 * t2.density)
     cfg = ReconstructionConfig(cutoff_kc=10.0)
     pts_u = np.array([0.0, 0.4, 0.8, -0.3])
@@ -282,7 +336,7 @@ def test_phase_count_convergence():
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     errors = []
     for count in (6, 11, 21):
-        table = extend_phases(build_table(state, default_phases(count), default_x_grid(5.0)))
+        table = build_table(state, default_phases(count), default_x_grid(5.0))
         got = reconstruct_at(table, probe, 0.0, cfg)
         errors.append(abs(got - exact))
     # the phase quadrature converges so fast that by 11 slices the error is
@@ -294,7 +348,7 @@ def test_phase_count_convergence():
 
 def test_dense_reconstruct_matches_pointwise():
     state = make_cat(CatSpec(SQRT5, 0.2), 50)
-    table = extend_phases(build_table(state, default_phases(11), default_x_grid(5.0)))
+    table = build_table(state, default_phases(11), default_x_grid(5.0))
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     re_axis = np.linspace(2.4, 3.0, 7)
     im_axis = np.linspace(-0.2, 0.2, 3)
@@ -342,13 +396,14 @@ def _explicit_back_projection(table, u, v, kc, x_nodes, density):
 
 def test_engine_matches_explicit_kernel_sum():
     state = make_cat(CatSpec(SQRT5, 1.11), 50)
-    table = extend_phases(build_table(state, default_phases(7), np.linspace(-6.0, 6.0, 241)))
+    measured = build_table(state, default_phases(7), np.linspace(-6.0, 6.0, 241))
+    table = _mirrored(measured)
     cfg = ReconstructionConfig(cutoff_kc=12.0)
     x_nodes = np.linspace(-6.0, 6.0, 481)
     density = np.array([CubicSpline(table.x_grid, row)(x_nodes) for row in table.density])
     pts_u = np.array([0.0, 0.35, 1.2, -2.0, 2.2])
     pts_v = np.array([0.0, 0.1, -0.4, 1.5, 0.0])
-    got = reconstruct_at(table, pts_u, pts_v, cfg)
+    got = reconstruct_at(measured, pts_u, pts_v, cfg)
     want = np.array(
         [
             _explicit_back_projection(table, u, v, 12.0, x_nodes, density)
@@ -365,7 +420,7 @@ FAR_POINTS = ((15.0, 0.0), (0.0, -15.0), (-10.6, 10.6), (12.0, 9.0))
 def _preset_table(preset):
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{preset}.cfg")
     state = make_cat(cfg.cat, cfg.n_max)
-    return cfg, extend_phases(build_table(state, cfg.phases(), cfg.x_grid()))
+    return cfg, build_table(state, cfg.phases(), cfg.x_grid())
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -417,7 +472,7 @@ def test_engine_matches_same_phase_closed_form(preset):
 def test_engine_matches_same_phase_closed_form_for_any_cat(r, theta, sign, points):
     spec = CatSpec(r, theta, sign)
     state = make_cat(spec, default_n_max(spec.mean_photon))
-    table = extend_phases(build_table(state, default_phases(), default_x_grid(spec.mean_photon)))
+    table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
     cfg = ReconstructionConfig.for_mean_photon(spec.mean_photon)
     u, v = np.array(points).T
     engine = reconstruct_at(table, u, v, cfg)
@@ -468,7 +523,7 @@ def test_engine_matches_closed_form_of_an_asymmetric_state(phases, monkeypatch):
 
 def test_points_broadcast_through_engine_and_closed_form():
     spec = CatSpec(SQRT5, 1.11)
-    table = extend_phases(THETA111_TABLE)
+    table = THETA111_TABLE
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     column, row = SQUARE_AXIS[:, None], SQUARE_AXIS[None, :]
     engine = reconstruct_at(table, column, row, cfg)
@@ -488,7 +543,7 @@ def test_points_broadcast_through_engine_and_closed_form():
 
 def test_closed_form_returns_the_shape_of_its_points():
     spec = CatSpec(SQRT5, 1.11)
-    phases = extend_phases(THETA111_TABLE).phases
+    phases = THETA111_TABLE.phases
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     scalar = reconstruct_closed_form(cat_wigner_terms(spec), phases, 0.8954, 0.0, cfg)
     assert isinstance(scalar, float)
@@ -515,7 +570,7 @@ POINT_CASES = {
 def test_engine_and_closed_form_share_the_point_and_return_rule(evaluator, case):
     """A float for two 0-d inputs, else the broadcast shape, whatever the evaluator."""
     u, v, shape = POINT_CASES[case]
-    table = extend_phases(THETA111_TABLE)
+    table = THETA111_TABLE
     terms = cat_wigner_terms(CatSpec(SQRT5, 1.11))
     cfg = ReconstructionConfig.for_mean_photon(5.0)
 
@@ -534,7 +589,7 @@ def test_engine_and_closed_form_share_the_point_and_return_rule(evaluator, case)
 
 
 def test_closed_form_rejects_a_non_finite_point_as_such():
-    phases = extend_phases(THETA111_TABLE).phases
+    phases = THETA111_TABLE.phases
     cfg = ReconstructionConfig.for_mean_photon(5.0)
     terms = cat_wigner_terms(CatSpec(SQRT5, 1.11))
     for u, v in ((math.nan, 0.0), (np.array([0.0, math.inf]), 0.0)):
@@ -544,7 +599,7 @@ def test_closed_form_rejects_a_non_finite_point_as_such():
 
 @pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, 0.5, 0.0]])
 def test_reconstruct_rejects_a_repeated_or_decreasing_axis(axis):
-    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    table = build_table(vacuum(20), default_phases(11), default_x_grid(1.0))
     cfg = ReconstructionConfig(cutoff_kc=8.0)
     with pytest.raises(InvalidArgument, match="strictly increasing"):
         reconstruct(table, axis, [0.0, 0.5], cfg)
@@ -553,7 +608,7 @@ def test_reconstruct_rejects_a_repeated_or_decreasing_axis(axis):
 
 
 def test_reconstruct_rejects_non_finite_points():
-    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    table = build_table(vacuum(20), default_phases(11), default_x_grid(1.0))
     cfg = ReconstructionConfig(cutoff_kc=8.0)
     for u, v in ((math.nan, 0.0), (0.0, math.inf), (np.array([0.0, -math.inf]), np.zeros(2))):
         with pytest.raises(InvalidArgument):
@@ -561,7 +616,7 @@ def test_reconstruct_rejects_non_finite_points():
 
 
 def test_reconstruct_rejects_node_count_past_limit():
-    table = extend_phases(build_table(vacuum(20), default_phases(11), default_x_grid(1.0)))
+    table = build_table(vacuum(20), default_phases(11), default_x_grid(1.0))
     for u in (1.0e4, 1.0e308):
         with pytest.raises(InvalidArgument):
             reconstruct_at(table, u, u, ReconstructionConfig(cutoff_kc=8.0))
@@ -634,12 +689,13 @@ def test_back_project_matches_spline_trapezoid_sum(n):
 @pytest.mark.parametrize("n", [240, 241, 1201])
 def test_back_project_matches_not_a_knot_spline_where_densities_vanish(spec, n):
     """On [-6, 6] the cat densities are ~2e-13 at the ends, so the end conditions
-    cannot move a term: the zero-extended spline matches the not-a-knot one."""
+    cannot move a term: the zero-extended spline matches the not-a-knot one. The
+    engine implies the mirrors of the measured slices; the sum has them measured."""
     x = np.linspace(-6.0, 6.0, n)
-    table = extend_phases(build_table(make_cat(spec, 50), default_phases(7), x))
+    table = build_table(make_cat(spec, 50), default_phases(7), x)
     u, v = np.array([0.3346, -1.2, 2.0, 0.0]), np.array([0.0, 0.7, -1.5, 2.2])
     got = tomography_module._back_project(table, u, v, ReconstructionConfig(cutoff_kc=12.0)).sum(0)
-    want = _spline_trapezoid_terms(table, u, v, 12.0)
+    want = _spline_trapezoid_terms(_mirrored(table), u, v, 12.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -667,7 +723,7 @@ def test_node_tables_fold_the_even_and_odd_spline_tables(n):
 def test_reconstruct_rejects_non_uniform_or_tiny_x_grid():
     cfg = ReconstructionConfig(cutoff_kc=8.0)
     for x in (np.sinh(np.linspace(-2.5, 2.5, 401)), np.array([-0.01, 0.0, 0.01])):
-        table = extend_phases(build_table(vacuum(20), default_phases(11), x))
+        table = build_table(vacuum(20), default_phases(11), x)
         with pytest.raises(InvalidArgument):
             reconstruct_at(table, 0.0, 0.0, cfg)
 
@@ -750,14 +806,15 @@ def test_pair_shares_are_the_folded_slice_terms(grid, conjugate, on_axis):
 
 
 def test_conjugate_shortcut_gives_the_general_formula_bit_for_bit():
+    """The measured half's implied mirrors against the full grid whose mirror rows
+    of P are exact conjugates."""
     phases = np.linspace(0.0, math.pi, 21)
     rng = np.random.default_rng(7)
     re_p, im_p, k, k_weights = _random_char(rng, phases, conjugate=True)
-    density = extend_phases(THETA111_TABLE).density  # rows j and 20 - j are reverses
     u, v = rng.uniform(-3.0, 3.0, (2, 5, 7))
-    shortcut = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v, density)
+    implied = tomography_module._phase_sum(re_p[:11], im_p[:11], phases[:11], k, k_weights, u, v)
     general = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v)
-    assert np.array_equal(shortcut, general)
+    assert np.array_equal(implied, general)
 
 
 @pytest.mark.parametrize("conjugate", [False, True], ids=["general", "conjugate"])
@@ -779,28 +836,38 @@ def test_real_axis_shortcut_gives_the_general_formula_bit_for_bit(conjugate):
         )
 
 
-def test_conjugate_shortcut_is_decided_from_the_density_rows(monkeypatch):
-    """Mirror rows that extend_phases builds take the shortcut, whatever rounding
-    the matrix product leaves in P; the unpaired pi/2 slice, a table measured on
-    [0, pi] and the closed form's exact P take the general form."""
+def test_conjugate_shortcut_is_decided_from_the_phase_grid(monkeypatch):
+    """A measured [0, pi/2] table takes the conjugate form on every slice but the
+    unpaired pi/2; a table measured on [0, pi] takes the general form, whatever
+    its rows. The table the benchmark's wigner-map set-up builds, the noise
+    study's shares and its clean scan all take the conjugate form, as each
+    phase-sum block shows."""
     taken = _shortcuts_taken(monkeypatch)
-    cfg = ReconstructionConfig.for_mean_photon(5.0)
-    reconstruct_at(extend_phases(THETA111_TABLE), 0.3, 0.2, cfg)
-    assert taken == [True] * 10 + [False]
+    per_block = [True] * 10 + [False]
+    cfg, measured = _preset_table("theta90")
+    wigner_map_table = extend_phases(measured)
+    for run in (
+        lambda: reconstruct(wigner_map_table, np.linspace(-3.0, 3.0, 41), [0.0, 0.5], cfg.recon),
+        lambda: slice_terms(measured, *cfg.probe, cfg.recon),
+        lambda: _clean_scan(measured, cfg.recon, cfg.search_region, 0.01),
+    ):
+        taken.clear()
+        run()
+        assert taken and taken == per_block * (len(taken) // 11)
     taken.clear()
-    state = make_cat(CatSpec(SQRT5, 1.11), 50)
-    direct = build_table(state, np.linspace(0.0, math.pi, 21), default_x_grid(5.0))
-    reconstruct_at(direct, 0.3, 0.2, cfg)
+    direct = build_table(make_cat(cfg.cat, cfg.n_max), _mirrored(measured).phases, cfg.x_grid())
+    reconstruct_at(direct, 0.3, 0.2, cfg.recon)
     assert taken == [False] * 11
-    taken.clear()
-    reconstruct_closed_form(cat_wigner_terms(CatSpec(SQRT5, 1.11)), direct.phases, 0.3, 0.2, cfg)
-    assert taken == [False] * 11
-    # mirrored rows whose weights differ are no conjugate pair either
+    terms = cat_wigner_terms(cfg.cat)
+    for phases, want in ((direct.phases, [False] * 11), (measured.phases, per_block)):
+        taken.clear()
+        reconstruct_closed_form(terms, phases, 0.3, 0.2, cfg.recon)
+        assert taken == want
+    # mirrored rows on a full grid are no conjugate pair either
     phases, pairs = PAIR_GRIDS["closing-half-step"]
     density = np.random.default_rng(9).uniform(0.0, 1.0, (phases.size, 41))
     for j, m in pairs:
         density[m] = density[j, ::-1]
     taken.clear()
-    reconstruct_at(QuadratureTable(phases, np.linspace(-6.0, 6.0, 41), density), 0.3, 0.2, cfg)
-    assert taken == [False, True, True, True, False]
-
+    reconstruct_at(QuadratureTable(phases, np.linspace(-6.0, 6.0, 41), density), 0.3, 0.2, cfg.recon)
+    assert taken == [False] * 5
