@@ -452,10 +452,11 @@ def monte_carlo_study(
 ) -> MinimumReport:
     """Reconstruction of W at a probe point under per-slice noise.
 
-    Back projection is a sum of per-slice terms, so a run that scales slice i
-    (and its mirror) by 1 + eps_i gives sum_i (1 + eps_i) W_i, where W_i is
-    slice i's share (slice_terms). One back-projection pass gives every W_i;
-    value is their sum. One _slice_factors call draws the runs x slices
+    Back projection is a sum of per-slice terms, so a run that scales
+    measured slice i (and the mirror it implies, if any) by 1 + eps_i gives
+    sum_i (1 + eps_i) W_i, where W_i is slice i's share (slice_terms): one
+    factor per measured slice, whatever phases span. One back-projection
+    pass gives every W_i; value is their sum. One _slice_factors call draws the runs x slices
     factor matrix, the rows perturb draws, and one product applies it. The
     draws are uniform(-m, m) from numpy's default_rng seeded with
     [seed, run, i], bit for bit, computed in one vectorised pass of numpy's

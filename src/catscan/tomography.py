@@ -19,16 +19,17 @@ densities that vanish at the grid ends, so f(k h) is the engine's only
 departure from reconstruct_closed_form. The k integral uses Gauss-Legendre
 nodes, enough of them to be exact to rounding for every |x - s_i| involved.
 
-The phase sum runs over mirror pairs, slice phi with the slice at pi - phi:
-with a = k u cos(phi) and b = k v sin(phi), the product rules for cos and sin
-give the pair one share in cos a, sin a, cos b and sin b. A table measured on
-[0, pi/2] fixes the whole period: for a conjugation-symmetric state (Fock
-amplitudes real up to a global phase; Leonhardt, Measuring the Quantum State
-of Light, ch. 5) p(x, pi - phi) = p(-x, phi), so each measured slice implies
-its mirror, whose P is conj P. Then the share needs no sin b, and on the real
-axis (v = 0) it needs neither cos b nor sin b, so a scan along u takes half
-the trig values of a slice-by-slice sum. A table measured on a full period of
-pi, as an asymmetric state needs, takes the general pair form.
+The phase sum runs over the measured slices. A table measured on [0, pi/2]
+fixes the whole period: for a conjugation-symmetric state (Fock amplitudes
+real up to a global phase; Leonhardt, Measuring the Quantum State of Light,
+ch. 5) p(x, pi - phi) = p(-x, phi), so each measured slice implies its mirror,
+whose P is conj P. With a = k u cos(phi) and b = k v sin(phi), the product
+rules for cos and sin give the slice and its mirror one share in cos a, sin a
+and cos b: it needs no sin b, and on the real axis (v = 0) neither cos b nor
+sin b, so a scan along u takes half the trig values of a slice-by-slice sum.
+Such a table is read as one half of a conjugation-symmetric state: an
+asymmetric state must be measured over a full period of pi, and each slice
+of that table, like pi/2 of a measured half, stands alone.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ def _measured_half(phases: np.ndarray) -> bool:
     return np.min(phases) >= -1e-12 and np.max(phases) <= math.pi / 2 + 1e-9
 
 
-def _check_measured_half(table: QuadratureTable) -> None:
-    phases = table.phases
-    if not _measured_half(phases):
-        raise InvalidArgument(
-            f"input phases must lie in [0, pi/2], got range "
-            f"[{phases[0]:.6f}, {phases[-1]:.6f}]"
-        )
-
-
 def extend_phases(table: QuadratureTable) -> QuadratureTable:
     """table itself, once its phases are checked to lie in [0, pi/2].
 
@@ -91,7 +83,12 @@ def extend_phases(table: QuadratureTable) -> QuadratureTable:
     nothing is appended. Only the benchmark's wigner-map set-up still calls
     this; it goes when that call does.
     """
-    _check_measured_half(table)
+    phases = table.phases
+    if not _measured_half(phases):
+        raise InvalidArgument(
+            f"input phases must lie in [0, pi/2], got range "
+            f"[{phases[0]:.6f}, {phases[-1]:.6f}]"
+        )
     return table
 
 
@@ -189,43 +186,35 @@ def _points(re_pts, im_pts):
     return u, v, float(np.max(np.hypot(u, v), initial=0.0))
 
 
-def _pairs(phases: np.ndarray) -> list[tuple[int, int]]:
-    """Mirror pairs (j, m), j < m, with phases[m] = pi - phases[j] within 1e-12, in order
-    of j; (j, j) for a slice with no partner (pi/2, or the 0 of a grid that tiles [0, pi))."""
-    gaps = np.abs(np.add.outer(phases, phases) - math.pi)
-    nearest = np.argmin(gaps, axis=1)
-    index = np.arange(phases.size)
-    partner = np.where(gaps[index, nearest] < 1e-12, nearest, index)
-    return [(j, int(m)) for j, m in enumerate(partner) if m >= j]
-
-
-def _mirror_pairs(phases: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int | None]]]:
-    """Each slice's phase weight and the mirror pairs, in order of j.
+def _slice_weights(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice's phase weight, its implied mirror's included, and which slices imply one.
 
     A measured half is closed by the mirrors pi - phi in reverse, a mirror
-    within 1e-12 of the last phase not repeated: the weights are that grid's,
-    and each slice j with a distinct mirror is the pair (j, None), whose P'
-    is conj P; pi/2 is (j, j). Any other grid is a full measurement, paired
-    by _pairs.
+    within 1e-12 of the last phase (pi/2, its own mirror) not repeated. A
+    slice and its mirror have equal weights on that grid, so a slice that
+    implies its mirror takes twice its weight. Any other grid is a full
+    measurement: every slice stands alone with its own weight.
     """
     if not _measured_half(phases):
-        return _phase_weights(phases), _pairs(phases)
+        return _phase_weights(phases), np.zeros(phases.shape, bool)
+    implied = np.ones(phases.shape, bool)
     mirrors = math.pi - phases[::-1]
-    pairs = [(j, None) for j in range(phases.size)]
-    if mirrors[0] - phases[-1] < 1e-12:  # pi/2 is its own mirror
+    if mirrors[0] - phases[-1] < 1e-12:
         mirrors = mirrors[1:]
-        pairs[-1] = (phases.size - 1, phases.size - 1)
-    return _phase_weights(np.concatenate([phases, mirrors]))[: phases.size], pairs
+        implied[-1] = False
+    weights = _phase_weights(np.concatenate([phases, mirrors]))[: phases.size]
+    return np.where(implied, 2.0, 1.0) * weights, implied
 
 
-def _pair_share(a, b, even, odd):
+def _slice_share(a, b, even, odd):
     """The cos a part, sum_k cos b even_0 cos a + sin b odd_0 cos a, and the sin a
     part, sum_k cos b even_1 sin a + sin b odd_1 sin a, over the points x k phases
     a and b, which it overwrites.
 
     b is None on the real axis (cos b = 1, sin b = 0) and odd is None for a
-    conjugate pair (odd = 0). Each shortcut drops only exact ones and zeros
-    and keeps the general formula's buffers, so it returns the same values.
+    slice that implies its mirror (odd = 0). Each shortcut drops only exact
+    ones and zeros and keeps the general formula's buffers, so it returns the
+    same values.
     """
     sin_a = np.sin(a)
     cos_a = np.cos(a, out=a)
@@ -243,58 +232,46 @@ def _pair_share(a, b, even, odd):
 
 
 def _phase_sum(re_p, im_p, phases, k, k_weights, u, v):
-    """The cos a and sin a parts of each mirror pair's share of W, in _mirror_pairs
-    order: shape (2, pairs) + point shape.
+    """The cos a and sin a parts of each measured slice's share of W, its implied
+    mirror included: shape (2, slices) + point shape.
 
     Slice i brings (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from
     Re P and Im P at the k nodes (slices x nodes). With a = k u cos(phi) and
-    b = k v sin(phi), slice phi brings Re P cos(a + b) + Im P sin(a + b) and its
-    mirror at pi - phi brings Re P' cos(b - a) + Im P' sin(b - a), so the pair's
-    share is
+    b = k v sin(phi), slice phi brings
 
-        cos b [(Re P + Re P') cos a + (Im P - Im P') sin a]
-        + sin b [(Im P + Im P') cos a + (Re P' - Re P) sin a],
+        cos b [Re P cos a + Im P sin a] + sin b [Im P cos a - Re P sin a].
 
-    each P weighted; a slice with no partner takes P' = 0. The mirror a measured
-    half implies has P' = conj P, weighted alike, so the first bracket is
-    2 (Re P cos a + Im P sin a) and the second is zero. When every v is 0,
-    cos b = 1 and sin b = 0.
+    Its implied mirror at pi - phi, weighted alike, brings Re P' cos(b - a)
+    + Im P' sin(b - a) with P' = conj P: the first bracket doubles and the
+    second cancels. When every v is 0, cos b = 1 and sin b = 0.
 
     The cos a part is even in u and the sin a part odd. On the real axis of a
     table that is symmetric in x, the sin a part is rounding noise: added to
-    each pair's cos a part it would round W(u) and W(-u) apart, so _slice_total
-    adds the two parts only once each is summed over the pairs.
+    each slice's cos a part it would round W(u) and W(-u) apart, so
+    _slice_total adds the two parts only once each is summed over the slices.
     """
     shape = np.broadcast_shapes(u.shape, v.shape)
-    weights, mirror_pairs = _mirror_pairs(phases)
+    weights, implied = _slice_weights(phases)
     scale = weights[:, None] * k_weights[None, :] / (4.0 * math.pi**2)
     re_w, im_w = re_p * scale, im_p * scale
     real_axis = not np.any(v)
     u, v = (np.broadcast_to(w, shape).ravel() for w in (u, v))
-    pairs = []
-    for j, m in mirror_pairs:
-        if m is None:
-            even, odd = (2.0 * re_w[j], 2.0 * im_w[j]), None
-        else:
-            re_m, im_m = (re_w[m], im_w[m]) if m != j else (0.0, 0.0)
-            even = (re_w[j] + re_m, im_w[j] - im_m)
-            odd = (im_w[j] + im_m, re_m - re_w[j])
-        pairs.append((math.cos(phases[j]), math.sin(phases[j]), even, odd))
-    shares = np.empty((2, len(pairs), u.size))
+    shares = np.empty((2, phases.size, u.size))
     block = max(1, _BLOCK_SIZE // k.size)
     for lo in range(0, u.size, block):
         u_block, v_block = u[lo : lo + block], v[lo : lo + block]
-        for n, (cos_phi, sin_phi, even, odd) in enumerate(pairs):
-            a = np.multiply.outer(u_block * cos_phi, k)
-            b = None if real_axis else np.multiply.outer(v_block * sin_phi, k)
-            shares[:, n, lo : lo + block] = _pair_share(a, b, even, odd)
-    return shares.reshape((2, len(pairs)) + shape)
+        for j, phi in enumerate(phases):
+            a = np.multiply.outer(u_block * math.cos(phi), k)
+            b = None if real_axis else np.multiply.outer(v_block * math.sin(phi), k)
+            odd = None if implied[j] else (im_w[j], -re_w[j])
+            shares[:, j, lo : lo + block] = _slice_share(a, b, (re_w[j], im_w[j]), odd)
+    return shares.reshape((2, phases.size) + shape)
 
 
 def _slice_total(shares, re_pts, im_pts):
-    """The cos a parts and the sin a parts each summed in pair order (np.sum would
-    group them differently), then added: a float when both point inputs are 0-d,
-    else an array of their broadcast shape."""
+    """The cos a parts and the sin a parts each summed in slice order (np.sum
+    would group them differently), then added: a float when both point inputs
+    are 0-d, else an array of their broadcast shape."""
     cos_total, sin_total = np.zeros(shares.shape[:1] + shares.shape[2:])
     for cos_part, sin_part in zip(*shares):
         cos_total += cos_part
@@ -304,8 +281,8 @@ def _slice_total(shares, re_pts, im_pts):
 
 
 def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """The cos a and sin a parts of each mirror pair's share of W (phys convention):
-    shape (2, pairs) + point shape."""
+    """The cos a and sin a parts of each measured slice's share of W (phys
+    convention): shape (2, slices) + point shape."""
     u, v, reach = _points(re_pts, im_pts)
     x, density = table.x_grid, table.density
     if x.size < 4:
@@ -326,16 +303,25 @@ def _back_project(table: QuadratureTable, re_pts, im_pts, config: Reconstruction
 
 
 def reconstruct_at(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """Reconstructed W (phys convention) at points re_pts, im_pts (broadcast)."""
+    """Reconstructed W (phys convention) at points re_pts, im_pts (broadcast).
+
+    A [0, pi/2] table is read as one half of a conjugation-symmetric state,
+    as every cat is; an asymmetric state must be measured over a full period
+    of pi, or it reconstructs wrong without an error.
+    """
     return _slice_total(_back_project(table, re_pts, im_pts, config), re_pts, im_pts)
 
 
 def slice_terms(table: QuadratureTable, u: float, v: float, config: ReconstructionConfig):
-    """Each measured slice's share of W(u, v), its implied mirror included (phys
-    convention). table covers [0, pi/2], so the mirror pairs are the measured
-    slices in order; the shares sum to reconstruct_at(table, u, v, config).
+    """Each measured slice's share of W(u, v), the mirror it implies included
+    (phys convention), in table order: one share per row of table, for every
+    phase grid reconstruct_at accepts. The shares sum to
+    reconstruct_at(table, u, v, config).
+
+    A [0, pi/2] table is read as one half of a conjugation-symmetric state,
+    as every cat is; an asymmetric state must be measured over a full period
+    of pi, or it reconstructs wrong without an error.
     """
-    _check_measured_half(table)
     return _back_project(table, u, v, config).sum(axis=0)[:, 0]
 
 
@@ -345,7 +331,12 @@ def reconstruct(
     im_axis,
     config: ReconstructionConfig,
 ) -> WignerGrid:
-    """Dense reconstruction over a rectangular grid, phys convention."""
+    """Dense reconstruction over a rectangular grid, phys convention.
+
+    A [0, pi/2] table is read as one half of a conjugation-symmetric state,
+    as every cat is; an asymmetric state must be measured over a full period
+    of pi, or it reconstructs wrong without an error.
+    """
     re_axis = _grid_axis(re_axis)
     im_axis = _grid_axis(im_axis)
     values = reconstruct_at(table, re_axis[:, None], im_axis[None, :], config)
@@ -363,7 +354,8 @@ def reconstruct_closed_form(terms, phases, re_pts, im_pts, config: Reconstructio
     factor f(k h), and this from the true W only by the cutoff and the phase
     sampling. As in the engine, phases in [0, pi/2] imply their mirrors with
     P' = conj P, which holds for conjugation-symmetric terms such as every
-    cat's. Phys convention.
+    cat's; the terms of an asymmetric state need phases over a full period of
+    pi, or the result is wrong without an error. Phys convention.
     """
     coeffs, mean, offsets, overlap, norm = _superposition(terms)
     phases = np.asarray(phases, dtype=np.float64)

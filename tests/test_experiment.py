@@ -414,10 +414,11 @@ def test_monte_carlo_spread_matches_the_exact_one(cat_table, seed, magnitude):
     assert abs(report.stddev**2 / sigma**2 - 1.0) <= 6.0 * math.sqrt(2.0 / (runs - 1))
 
 
-def _explicit_study(spec, noise, probe):
+def _explicit_study(spec, noise, probe, phases=None):
     """Mean and stddev of the perturb -> reconstruct_at loop."""
     state = make_cat(spec, default_n_max(spec.mean_photon))
-    table = build_table(state, default_phases(), default_x_grid(spec.mean_photon))
+    phases = default_phases() if phases is None else phases
+    table = build_table(state, phases, default_x_grid(spec.mean_photon))
     config = ReconstructionConfig.for_mean_photon(spec.mean_photon)
     samples = [
         PAPER_SCALE * reconstruct_at(perturb(table, noise, run), probe, 0.0, config)
@@ -436,6 +437,29 @@ def test_monte_carlo_matches_explicit_perturbed_reconstructions(theta, probe, ma
     noise = NoiseSpec(magnitude=magnitude, runs=runs, seed=4242)
     report = monte_carlo_study(spec, noise, probe_point=(probe, 0.0))
     mean, stddev = _explicit_study(spec, noise, probe)
+    assert report.mean == pytest.approx(mean, rel=1e-12)
+    assert report.stddev == pytest.approx(stddev, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [np.arange(21) * math.pi / 21.0, np.linspace(0.0, math.pi, 21)],
+    ids=["periodic", "closed"],
+)
+def test_monte_carlo_takes_one_factor_per_slice_of_a_full_table(phases):
+    """A table measured over a full period of pi takes one noise factor per
+    measured slice, as perturb draws them, and its clean value is the
+    reconstruction's."""
+    spec = CatSpec(SQRT5, 1.11)
+    noise = NoiseSpec(magnitude=0.25, runs=7, seed=4242)
+    probe = (0.8954, 0.0)
+    report = monte_carlo_study(spec, noise, probe_point=probe, phases=phases)
+    assert report.config["phase_count"] == 21
+    table = build_table(make_cat(spec, default_n_max(5.0)), phases, default_x_grid(5.0))
+    clean = PAPER_SCALE * reconstruct_at(table, *probe, ReconstructionConfig.for_mean_photon(5.0))
+    # 1e-15 of the largest |W| a state can have, 2/pi, in paper units
+    assert abs(report.value - clean) <= 1e-15 * PAPER_SCALE * 2.0 / math.pi
+    mean, stddev = _explicit_study(spec, noise, probe[0], phases)
     assert report.mean == pytest.approx(mean, rel=1e-12)
     assert report.stddev == pytest.approx(stddev, rel=1e-12)
 

@@ -76,33 +76,26 @@ def test_extend_phases_rejects_wide_input():
         extend_phases(table)
 
 
-def test_slice_terms_rejects_a_full_table():
-    """A full table would take noise per pair, not per measured slice."""
-    state = make_cat(CatSpec(SQRT5, 0.2), 50)
-    table = build_table(state, np.linspace(0.0, math.pi, 21), default_x_grid(5.0))
-    cfg = ReconstructionConfig.for_mean_photon(5.0)
-    reconstruct_at(table, 0.3, 0.0, cfg)  # a full table reconstructs
-    with pytest.raises(InvalidArgument, match=r"\[0, pi/2\]"):
-        slice_terms(table, 0.3, 0.0, cfg)
-
-
-# measured halves: the pairs the engine takes, and the full grid that weights them
+# measured halves: the slices that imply a mirror, and the full grid that weights them
 HALF_GRIDS = {
-    "with-pi/2": (default_phases(11), [(j, None) for j in range(10)] + [(10, 10)], 21),
-    "half-step-offset": ((np.arange(8) + 0.5) * math.pi / 16.0, [(j, None) for j in range(8)], 16),
+    "with-pi/2": (default_phases(11), [True] * 10 + [False], 21),
+    "half-step-offset": ((np.arange(8) + 0.5) * math.pi / 16.0, [True] * 8, 16),
     # the one half that would also tile pi as a full grid; it reads as a half
-    "two-phases": (np.array([0.0, math.pi / 2]), [(0, None), (1, 1)], 3),
+    "two-phases": (np.array([0.0, math.pi / 2]), [True, False], 3),
 }
 
 
 @pytest.mark.parametrize("grid", HALF_GRIDS, ids=list(HALF_GRIDS))
 def test_a_measured_half_is_weighted_as_its_mirrored_grid(grid):
-    phases, pairs, full_size = HALF_GRIDS[grid]
+    """A slice and its implied mirror take the mirrored grid's weight each;
+    pi/2 takes it once."""
+    phases, implied, full_size = HALF_GRIDS[grid]
     full = _mirrored(QuadratureTable(phases, [-1.0, 1.0], np.ones((phases.size, 2)))).phases
     assert full.size == full_size
-    weights, got = tomography_module._mirror_pairs(phases)
-    assert got == pairs
-    assert np.array_equal(weights, tomography_module._phase_weights(full)[: phases.size])
+    weights, got = tomography_module._slice_weights(phases)
+    assert got.tolist() == implied
+    mirrored_weights = tomography_module._phase_weights(full)[: phases.size]
+    assert np.array_equal(weights, np.where(implied, 2.0, 1.0) * mirrored_weights)
 
 
 # r in (0.05, 3.2), theta in (0, pi/2], both signs
@@ -481,36 +474,41 @@ def test_engine_matches_same_phase_closed_form_for_any_cat(r, theta, sign, point
 
 
 def _shortcuts_taken(monkeypatch):
-    """Record, per pair, whether _phase_sum takes the conjugate shortcut."""
+    """Record, per measured slice, whether _phase_sum takes the conjugate shortcut."""
     taken = []
-    pair_share = tomography_module._pair_share
+    slice_share = tomography_module._slice_share
 
     def spy(a, b, even, odd):
         taken.append(odd is None)
-        return pair_share(a, b, even, odd)
+        return slice_share(a, b, even, odd)
 
-    monkeypatch.setattr(tomography_module, "_pair_share", spy)
+    monkeypatch.setattr(tomography_module, "_slice_share", spy)
     return taken
 
 
-@pytest.mark.parametrize(
-    "phases",
-    [np.arange(21) * math.pi / 21.0, np.linspace(0.0, math.pi, 21)],
-    ids=["periodic", "closed"],
-)
-def test_engine_matches_closed_form_of_an_asymmetric_state(phases, monkeypatch):
+# a periodic [0, pi) and a closed [0, pi] grid: full periods, as an asymmetric state needs
+FULL_GRIDS = {"periodic": np.arange(21) * math.pi / 21.0, "closed": np.linspace(0.0, math.pi, 21)}
+BETA = 1.0 + 0.5j
+
+
+def _coherent_table(phases):
+    return build_table(coherent_state(BETA, 40), phases, np.linspace(-5.0, 5.0, 1001))
+
+
+@pytest.mark.parametrize("grid", FULL_GRIDS)
+def test_engine_matches_closed_form_of_an_asymmetric_state(grid, monkeypatch):
     """A coherent state off both axes, on a periodic [0, pi) or closed [0, pi]
-    grid, not extended: no mirror pair is a conjugate one.
+    grid, not extended: each measured slice stands alone, in the general form.
 
     Every cat is symmetric under v -> -v; this state is not, so the closed
     form of the conjugate state (0.56 away) pins the phase convention.
     """
     taken = _shortcuts_taken(monkeypatch)
-    beta = 1.0 + 0.5j
-    table = build_table(coherent_state(beta, 40), phases, np.linspace(-5.0, 5.0, 1001))
+    beta, phases = BETA, FULL_GRIDS[grid]
+    table = _coherent_table(phases)
     cfg = ReconstructionConfig(cutoff_kc=12.0)
     engine = reconstruct_at(table, SQUARE_U, SQUARE_V, cfg)
-    assert taken == [False] * 11
+    assert taken == [False] * 21
     oracle = reconstruct_closed_form([(1.0, beta)], phases, SQUARE_U, SQUARE_V, cfg)
     assert np.max(np.abs(engine - oracle)) <= 1e-8
     conjugate = reconstruct_closed_form([(1.0, beta.conjugate())], phases, SQUARE_U, SQUARE_V, cfg)
@@ -519,6 +517,19 @@ def test_engine_matches_closed_form_of_an_asymmetric_state(phases, monkeypatch):
     monkeypatch.setattr(tomography_module, "_node_count", lambda omega: 2 * node_count(omega))
     doubled = reconstruct_closed_form([(1.0, beta)], phases, SQUARE_U, SQUARE_V, cfg)
     assert np.max(np.abs(doubled - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("grid", FULL_GRIDS)
+def test_slice_terms_of_a_full_table_are_single_slice_reconstructions(grid):
+    """A full table takes one share per measured slice, each the slice alone,
+    and the shares sum to the reconstruction."""
+    table = _coherent_table(FULL_GRIDS[grid])
+    cfg = ReconstructionConfig(cutoff_kc=12.0)
+    for u, v in ((1.0, 0.5), (0.3346, 0.0), (-1.2, 0.7), (2.0, -1.5)):
+        shares = slice_terms(table, u, v, cfg)
+        single = [reconstruct_at(_scale_rows(table, unit), u, v, cfg) for unit in np.eye(21)]
+        assert shares == pytest.approx(single, rel=1e-13, abs=1e-13 * np.max(np.abs(shares)))
+        assert abs(shares.sum() - reconstruct_at(table, u, v, cfg)) <= 1e-15 * TWO_OVER_PI
 
 
 def test_points_broadcast_through_engine_and_closed_form():
@@ -640,7 +651,7 @@ def _zero_padded(x, values, pad):
 
 
 def _spline_trapezoid_terms(table, u, v, kc, pad=0):
-    """Pair shares from per-slice terms, each slice's CubicSpline summed on the refined grid.
+    """Per-slice terms, each slice's CubicSpline summed on the refined grid.
 
     pad = 0 fits the slice with scipy's not-a-knot ends; pad zero nodes per
     side stand in for the zero-extended (cardinal) spline, whose end
@@ -659,13 +670,16 @@ def _spline_trapezoid_terms(table, u, v, kc, pad=0):
     s = np.multiply.outer(np.cos(phases), u) + np.multiply.outer(np.sin(phases), v)
     phase_factor = np.exp(-1j * np.multiply.outer(s, k))
     sums = np.einsum("im,ipm->ip", char * (kc * weights * k), phase_factor).real
-    return _fold_pairs(w_phase[:, None] * sums / (4.0 * math.pi**2), phases)
+    return w_phase[:, None] * sums / (4.0 * math.pi**2)
 
 
-def _fold_pairs(terms, phases):
-    """Per-slice terms summed over each mirror pair, in the engine's pair order."""
-    pairs = tomography_module._pairs(phases)
-    return np.array([terms[j] + terms[m] if m != j else terms[j] for j, m in pairs])
+def _fold_pairs(terms):
+    """Per-slice terms of a mirrored measured half, slice j and its mirror
+    size - 1 - j added: the measured slices' shares, in order."""
+    half = len(terms) // 2
+    folded = terms[: len(terms) - half].copy()
+    folded[:half] += terms[::-1][:half]
+    return folded
 
 
 # densities near 1 at the grid ends, where the zero extension moves every term
@@ -695,7 +709,7 @@ def test_back_project_matches_not_a_knot_spline_where_densities_vanish(spec, n):
     table = build_table(make_cat(spec, 50), default_phases(7), x)
     u, v = np.array([0.3346, -1.2, 2.0, 0.0]), np.array([0.0, 0.7, -1.5, 2.2])
     got = tomography_module._back_project(table, u, v, ReconstructionConfig(cutoff_kc=12.0)).sum(0)
-    want = _spline_trapezoid_terms(_mirrored(table), u, v, 12.0)
+    want = _fold_pairs(_spline_trapezoid_terms(_mirrored(table), u, v, 12.0))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -729,45 +743,17 @@ def test_reconstruct_rejects_non_uniform_or_tiny_x_grid():
 
 
 # closing grids with and without pi/2, a tiling grid with an unpaired 0, the
-# half-step-offset grid, and a closing grid that no slice's mirror lies on
+# half-step-offset grid, and a closing grid that no slice's mirror lies on; each
+# with its mirror pairs (j, m), phases[m] = pi - phases[j]
 PAIR_GRIDS = {
-    "closing-with-pi/2": (np.linspace(0.0, math.pi, 21), [(j, 20 - j) for j in range(11)]),
+    "closing-with-pi/2": (np.linspace(0.0, math.pi, 21), [(j, 20 - j) for j in range(10)]),
     "closing-without-pi/2": (np.linspace(0.0, math.pi, 20), [(j, 19 - j) for j in range(10)]),
-    "tiling-from-0": (np.arange(21) * math.pi / 21.0, [(0, 0)] + [(j, 21 - j) for j in range(1, 11)]),
+    "tiling-from-0": (np.arange(21) * math.pi / 21.0, [(j, 21 - j) for j in range(1, 11)]),
     "half-step-offset": ((np.arange(16) + 0.5) * math.pi / 16.0, [(j, 15 - j) for j in range(8)]),
-    "closing-shifted": (np.linspace(0.3, 0.3 + math.pi, 15), [(j, j) for j in range(15)]),
+    "closing-shifted": (np.linspace(0.3, 0.3 + math.pi, 15), []),
     # slice 0 is an end (half weight), its mirror 7 is not
-    "closing-half-step": (np.linspace(0.5, 8.5, 9) * math.pi / 8.0, [(j, 7 - j) for j in range(4)] + [(8, 8)]),
+    "closing-half-step": (np.linspace(0.5, 8.5, 9) * math.pi / 8.0, [(j, 7 - j) for j in range(4)]),
 }
-
-
-@pytest.mark.parametrize("grid", PAIR_GRIDS, ids=list(PAIR_GRIDS))
-def test_pairs_match_each_slice_with_its_mirror(grid):
-    phases, pairs = PAIR_GRIDS[grid]
-    assert tomography_module._pairs(phases) == pairs
-
-
-@settings(max_examples=200)
-@given(
-    n=st.integers(min_value=2, max_value=722),
-    start=st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi)),
-    closing=st.booleans(),
-    half_step=st.booleans(),
-)
-def test_pairs_cover_each_slice_of_every_accepted_grid_once(n, start, closing, half_step):
-    step = math.pi / (n - 1 if closing else n)
-    if half_step:
-        start = 0.5 * step
-    phases = start + np.arange(n) * step
-    tomography_module._phase_weights(phases)  # the grid is one the phase sum accepts
-    pairs = tomography_module._pairs(phases)
-    members = [j for j, m in pairs] + [m for j, m in pairs if m != j]
-    assert sorted(members) == list(range(n))
-    assert [j for j, _ in pairs] == sorted(j for j, _ in pairs)
-    for j, m in pairs:
-        assert m >= j
-        if m != j:
-            assert abs(phases[j] + phases[m] - math.pi) < 1e-12
 
 
 def _slice_by_slice(re_p, im_p, phases, k, k_weights, u, v):
@@ -781,40 +767,74 @@ def _slice_by_slice(re_p, im_p, phases, k, k_weights, u, v):
 
 
 def _random_char(rng, phases, n_nodes=60, conjugate=False):
-    """Random Re P and Im P at n_nodes k nodes on [0, 12]; conjugate makes P' = conj P
-    for every mirror pair, exactly."""
+    """Random Re P and Im P at n_nodes k nodes on [0, 12]; conjugate makes row
+    size - 1 - j the conjugate of row j, so P' = conj P exactly on a mirrored
+    measured half."""
     re_p, im_p = rng.normal(size=(2, phases.size, n_nodes))
     if conjugate:
-        for j, m in tomography_module._pairs(phases):
-            if m != j:
-                re_p[m], im_p[m] = re_p[j], -im_p[j]
+        for j in range(phases.size // 2):
+            re_p[-1 - j], im_p[-1 - j] = re_p[j], -im_p[j]
     return (re_p, im_p, *tomography_module._k_rule(12.0, n_nodes))
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(min_value=2, max_value=722),
+    start=st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi)),
+    closing=st.booleans(),
+    half_step=st.booleans(),
+)
+def test_every_full_grid_takes_one_share_per_slice(n, start, closing, half_step):
+    """On every full grid the phase sum accepts, slice i's share is its own term,
+    on the real axis and off it."""
+    step = math.pi / (n - 1 if closing else n)
+    if half_step:
+        start = 0.5 * step
+    phases = start + np.arange(n) * step
+    tomography_module._phase_weights(phases)  # the grid is one the phase sum accepts
+    assume(not tomography_module._measured_half(phases))  # [0, pi/2] tiles pi, but reads as a half
+    rng = np.random.default_rng(n)
+    re_p, im_p, k, k_weights = _random_char(rng, phases, n_nodes=8)  # few nodes: up to 722 slices
+    u = rng.uniform(-3.0, 3.0, 4)
+    for v in (np.zeros(4), rng.uniform(-3.0, 3.0, 4)):
+        got = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v).sum(0)
+        terms = _slice_by_slice(re_p, im_p, phases, k, k_weights, u, v)
+        assert np.max(np.abs(got - terms)) <= 1e-13 * np.max(np.abs(terms))
 
 
 @pytest.mark.parametrize("grid", PAIR_GRIDS, ids=list(PAIR_GRIDS))
 @pytest.mark.parametrize("conjugate", [False, True], ids=["asymmetric", "conjugate"])
 @pytest.mark.parametrize("on_axis", [False, True], ids=["plane", "real-axis"])
 def test_pair_shares_are_the_folded_slice_terms(grid, conjugate, on_axis):
-    phases, _ = PAIR_GRIDS[grid]
+    """A full grid folds no slice into another: each share is the slice's own
+    term, also where the rows of each mirror pair are exact conjugates, which a
+    measured half would fold into one share."""
+    phases, pairs = PAIR_GRIDS[grid]
     rng = np.random.default_rng(len(phases))
-    re_p, im_p, k, k_weights = _random_char(rng, phases, conjugate=conjugate)
+    re_p, im_p, k, k_weights = _random_char(rng, phases)
+    if conjugate:
+        for j, m in pairs:
+            re_p[m], im_p[m] = re_p[j], -im_p[j]
     u = rng.uniform(-3.0, 3.0, 12)
     v = np.zeros(12) if on_axis else rng.uniform(-3.0, 3.0, 12)
     got = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v).sum(0)
     terms = _slice_by_slice(re_p, im_p, phases, k, k_weights, u, v)
-    assert np.max(np.abs(got - _fold_pairs(terms, phases))) <= 1e-13 * np.max(np.abs(terms))
+    assert np.max(np.abs(got - terms)) <= 1e-13 * np.max(np.abs(terms))
 
 
 def test_conjugate_shortcut_gives_the_general_formula_bit_for_bit():
-    """The measured half's implied mirrors against the full grid whose mirror rows
-    of P are exact conjugates."""
+    """The measured half's implied mirrors against the slice-by-slice sum of the
+    full grid whose mirror rows of P are exact conjugates. The two sum in a
+    different order, so they agree to rounding; that the shortcut is the
+    general formula with odd = 0 bit for bit is
+    test_real_axis_shortcut_gives_the_general_formula_bit_for_bit's check."""
     phases = np.linspace(0.0, math.pi, 21)
     rng = np.random.default_rng(7)
     re_p, im_p, k, k_weights = _random_char(rng, phases, conjugate=True)
-    u, v = rng.uniform(-3.0, 3.0, (2, 5, 7))
+    u, v = rng.uniform(-3.0, 3.0, (2, 35))
     implied = tomography_module._phase_sum(re_p[:11], im_p[:11], phases[:11], k, k_weights, u, v)
-    general = tomography_module._phase_sum(re_p, im_p, phases, k, k_weights, u, v)
-    assert np.array_equal(implied, general)
+    terms = _fold_pairs(_slice_by_slice(re_p, im_p, phases, k, k_weights, u, v))
+    assert np.max(np.abs(implied.sum(0) - terms)) <= 1e-13 * np.max(np.abs(terms))
 
 
 @pytest.mark.parametrize("conjugate", [False, True], ids=["general", "conjugate"])
@@ -823,25 +843,25 @@ def test_real_axis_shortcut_gives_the_general_formula_bit_for_bit(conjugate):
     a = np.multiply.outer(rng.uniform(-3.0, 3.0, 9), np.linspace(0.0, 12.0, 40))
     even = tuple(rng.normal(size=(2, 40)))
     odd = None if conjugate else tuple(rng.normal(size=(2, 40)))
-    shortcut = tomography_module._pair_share(a.copy(), None, even, odd)
-    general = tomography_module._pair_share(a.copy(), np.zeros_like(a), even, odd)
+    shortcut = tomography_module._slice_share(a.copy(), None, even, odd)
+    general = tomography_module._slice_share(a.copy(), np.zeros_like(a), even, odd)
     assert np.array_equal(shortcut, general)
     if not conjugate:
         # and the conjugate shortcut, off the axis, is the general formula with odd = 0
         b = np.multiply.outer(rng.uniform(-3.0, 3.0, 9), np.linspace(0.0, 12.0, 40))
         zeros = (np.zeros(40), np.zeros(40))
         assert np.array_equal(
-            tomography_module._pair_share(a.copy(), b.copy(), even, None),
-            tomography_module._pair_share(a.copy(), b.copy(), even, zeros),
+            tomography_module._slice_share(a.copy(), b.copy(), even, None),
+            tomography_module._slice_share(a.copy(), b.copy(), even, zeros),
         )
 
 
 def test_conjugate_shortcut_is_decided_from_the_phase_grid(monkeypatch):
-    """A measured [0, pi/2] table takes the conjugate form on every slice but the
-    unpaired pi/2; a table measured on [0, pi] takes the general form, whatever
-    its rows. The table the benchmark's wigner-map set-up builds, the noise
-    study's shares and its clean scan all take the conjugate form, as each
-    phase-sum block shows."""
+    """A measured [0, pi/2] table takes the conjugate form on every slice but
+    pi/2, its own mirror; a table measured on [0, pi] takes the general form on
+    every measured slice, whatever its rows. The table the benchmark's
+    wigner-map set-up builds, the noise study's shares and its clean scan all
+    take the conjugate form, as each phase-sum block shows."""
     taken = _shortcuts_taken(monkeypatch)
     per_block = [True] * 10 + [False]
     cfg, measured = _preset_table("theta90")
@@ -857,17 +877,17 @@ def test_conjugate_shortcut_is_decided_from_the_phase_grid(monkeypatch):
     taken.clear()
     direct = build_table(make_cat(cfg.cat, cfg.n_max), _mirrored(measured).phases, cfg.x_grid())
     reconstruct_at(direct, 0.3, 0.2, cfg.recon)
-    assert taken == [False] * 11
+    assert taken == [False] * 21
     terms = cat_wigner_terms(cfg.cat)
-    for phases, want in ((direct.phases, [False] * 11), (measured.phases, per_block)):
+    for phases, want in ((direct.phases, [False] * 21), (measured.phases, per_block)):
         taken.clear()
         reconstruct_closed_form(terms, phases, 0.3, 0.2, cfg.recon)
         assert taken == want
-    # mirrored rows on a full grid are no conjugate pair either
+    # mirrored rows on a full grid imply nothing either
     phases, pairs = PAIR_GRIDS["closing-half-step"]
     density = np.random.default_rng(9).uniform(0.0, 1.0, (phases.size, 41))
     for j, m in pairs:
         density[m] = density[j, ::-1]
     taken.clear()
     reconstruct_at(QuadratureTable(phases, np.linspace(-6.0, 6.0, 41), density), 0.3, 0.2, cfg.recon)
-    assert taken == [False] * 5
+    assert taken == [False] * 9
