@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgument, ZeroNorm
-from .fock import FockVector, coherent_state
+from .fock import FockVector, _frozen, coherent_state
 
 _SQRT2 = math.sqrt(2.0)
 # make_cat and the closed forms (on norm / 4) raise ZeroNorm below this probability.
@@ -134,33 +134,28 @@ class BellState(Enum):
 class PolarizationState:
     """k-photon polarization state over the {H, V}^k basis.
 
-    Basis index bit i (most significant first) is photon i: H = 0, V = 1.
+    Reshaped to (2,) * k, the amplitudes put photon i on axis i: H = 0, V = 1.
     """
 
     k: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = _frozen(self.amplitudes, np.complex128)
         if self.k < 1 or amps.shape != (2**self.k,):
             raise InvalidArgument("amplitudes must have length 2^k")
-        amps = amps.copy()
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    def _photon_axes(self) -> np.ndarray:
+        return self.amplitudes.reshape((2,) * self.k)
+
     def basis_labels(self) -> list[str]:
-        return [
-            "".join("V" if (i >> (self.k - 1 - j)) & 1 else "H" for j in range(self.k))
-            for i in range(2**self.k)
-        ]
+        return ["".join("HV"[b] for b in index) for index in np.ndindex(self._photon_axes().shape)]
 
     def amplitude(self, label: str) -> complex:
         if len(label) != self.k or any(ch not in "HV" for ch in label):
             raise InvalidArgument(f"bad basis label {label!r}")
-        idx = 0
-        for ch in label:
-            idx = (idx << 1) | (ch == "V")
-        return complex(self.amplitudes[idx])
+        return complex(self._photon_axes()[tuple("HV".index(ch) for ch in label)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -198,10 +193,11 @@ def kerr_two_photon_gate(
     for t in (i, j):
         if not 0 <= t < state.k:
             raise IndexError(f"photon index {t} out of range for k={state.k}")
-    idx = np.arange(2**state.k)
-    both_v = ((idx >> (state.k - 1 - i)) & 1) & ((idx >> (state.k - 1 - j)) & 1)
-    factors = np.where(both_v == 1, np.exp(1j * phase), 1.0)
-    return PolarizationState(state.k, state.amplitudes * factors)
+    factors = np.ones((2,) * state.k, dtype=np.complex128)
+    both_v = [slice(None)] * state.k
+    both_v[i] = both_v[j] = 1
+    factors[tuple(both_v)] = np.exp(1j * phase)
+    return PolarizationState(state.k, (state._photon_axes() * factors).reshape(-1))
 
 
 def make_ghz(bell_input: BellState) -> PolarizationState:
@@ -234,12 +230,6 @@ def diagonal_basis_amplitudes(
     """
     if not 0 <= photon < state.k:
         raise IndexError(f"photon index {photon} out of range for k={state.k}")
-    amps = state.amplitudes.copy()
-    bit = state.k - 1 - photon
-    idx = np.arange(2**state.k)
-    low = idx[(idx >> bit) & 1 == 0]
-    high = low | (1 << bit)
-    a_h, a_v = amps[low].copy(), amps[high].copy()
-    amps[low] = (a_h + a_v) / _SQRT2
-    amps[high] = (a_h - a_v) / _SQRT2
-    return PolarizationState(state.k, amps)
+    a_h, a_v = np.moveaxis(state._photon_axes(), photon, 0)
+    amps = np.stack(((a_h + a_v) / _SQRT2, (a_h - a_v) / _SQRT2), axis=photon)
+    return PolarizationState(state.k, amps.reshape(-1))

@@ -133,26 +133,34 @@ def _cmd_cat_state(args) -> int:
     return 0
 
 
+def _print_support(state, shown) -> list[str]:
+    """Print each basis label of state with a nonzero amplitude, as shown(label) names it,
+    and return those labels."""
+    support = [label for label in state.basis_labels() if abs(state.amplitude(label)) > 1e-12]
+    for label in support:
+        amp = state.amplitude(label)
+        print(f"  |{shown(label)}> : {amp.real:+.6f}{amp.imag:+.6f}j")
+    return support
+
+
 def _cmd_ghz(args) -> int:
     which = BellState.from_label(args.bell_input)
     ghz = make_ghz(which)
     print(f"input = {which.value}")
     print("three-photon state (H/V basis):")
-    for label in ghz.basis_labels():
-        amp = ghz.amplitude(label)
-        if abs(amp) > 1e-12:
-            print(f"  |{label}> : {amp.real:+.6f}{amp.imag:+.6f}j")
-    diag = diagonal_basis_amplitudes(ghz, 2)
+    _print_support(ghz, str)
     print("photon 3 in the 45/135 basis (third slot: H=45, V=135):")
-    ok = True
-    for label in diag.basis_labels():
-        amp = diag.amplitude(label)
-        if abs(amp) > 1e-12:
-            shown = label[:2] + ("45" if label[2] == "H" else "135")
-            print(f"  |{shown}> : {amp.real:+.6f}{amp.imag:+.6f}j")
-            # perfect correlation: photons 1 and 2 always share a polarization
-            if label[:2] not in ("HH", "VV"):
-                ok = False
+    support = _print_support(
+        diagonal_basis_amplitudes(ghz, 2), lambda label: label[:2] + ("45" if label[2] == "H" else "135")
+    )
+    # perfect correlation: a phi pair shares a polarization, a psi pair does not, and
+    # photon 3's 45/135 outcome picks which of the two pair strings is left
+    differ = which in (BellState.PSI_PLUS, BellState.PSI_MINUS)
+    ok = (
+        len(support) == 2
+        and {label[2] for label in support} == {"H", "V"}
+        and all((label[0] != label[1]) == differ for label in support)
+    )
     pair = bell_state(which)
     print(f"input pair |{which.value}> norm = {pair.norm():.12g}")
     print(f"correlation check: {'PASS' if ok else 'FAIL'}")
@@ -227,8 +235,6 @@ def _cmd_noise_study(args) -> int:
 def _cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
     seed = 20250814 if args.seed is None else args.seed
-    if seed < 0:
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
     # check points uniform on [-2.5, 2.5], from the noise study's seeded draws
     alpha_re, alpha_im, u, v = -2.5 + 5.0 * _uniform_draws(seed, range(4), 20)
 

@@ -11,7 +11,7 @@ import numpy as np
 from .circuit import CatSpec, make_cat
 from .errors import InvalidArgument, NonFiniteResult, RegionError
 from .quadrature import (
-    QuadratureTable, _check_slice_areas, build_table, default_phases, default_x_grid,
+    QuadratureTable, _check_slice_areas, _size_class, build_table, default_phases,
 )
 from .tomography import ReconstructionConfig, reconstruct_at, slice_terms
 from .wigner import convention_factor
@@ -41,16 +41,8 @@ SEARCH_POINT_LIMIT = 40_401
 
 
 def default_n_max(mean_photon: float) -> int:
-    """Truncation for cat states: 50 covers nbar <= 5, 60 covers nbar <= 10.
-
-    The thresholds carry a small slack so r = sqrt(5) and r = sqrt(10)
-    (squared radii a few ulp above the integer) take the intended branch.
-    """
-    if mean_photon <= 5.0 + 1e-9:
-        return 50
-    if mean_photon <= 10.0 + 1e-9:
-        return 60
-    return 60 + 6 * math.ceil(mean_photon - 10.0)
+    """Fock truncation for a cat of this mean photon number: its size class's n_max."""
+    return _size_class(mean_photon)[0]
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ class ExperimentConfig:
     cat: CatSpec
     n_max: int | None = None  # default_n_max(r^2)
     phase_count: int = 11
-    x_max: float | None = None  # the half-width of default_x_grid(r^2)
+    x_max: float | None = None  # the size class's half-width, as default_x_grid(r^2) takes it
     x_step: float = 0.01
     recon: ReconstructionConfig | None = None  # ReconstructionConfig.for_mean_photon(r^2)
     noise: NoiseSpec | None = None
@@ -108,9 +100,10 @@ class ExperimentConfig:
         nbar = self.cat.mean_photon
         if nbar > N_MAX_LIMIT:
             raise InvalidArgument(f"mean photon number r^2 = {nbar:.6g} exceeds {N_MAX_LIMIT}")
+        n_max, x_max = _size_class(nbar)
         defaults = {
-            "n_max": default_n_max(nbar),
-            "x_max": float(default_x_grid(nbar)[-1]),
+            "n_max": n_max,
+            "x_max": x_max,
             "recon": ReconstructionConfig.for_mean_photon(nbar),
             "wigner_range": float(math.ceil(self.cat.r + 3.0)),
         }
@@ -167,7 +160,10 @@ class ExperimentConfig:
 
 
 def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n >= 0, as numpy splits an int seed (0 gives [0])."""
+    """Little-endian 32-bit words of n >= 0, as numpy splits an int seed (0 gives [0]).
+    A negative n has no such words: n >>= 32 would stay at -1 forever."""
+    if n < 0:
+        raise InvalidArgument(f"seeds and run indices must be non-negative, got {n}")
     words = [n & 0xFFFFFFFF]
     n >>= 32
     while n:
@@ -185,32 +181,28 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """init, init mult, init mult^2, ... mod 2^32: the multipliers a hash walks through."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _hasher(const: int, mult: int):
+    """seed_seq's hash: each call xors in the hash constant, advances it by mult
+    (mod 2^32), multiplies by it and folds the high half down."""
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hash_
 
 
 def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
     """numpy's SeedSequence generate_state(4, np.uint64) for each row of a uint32 matrix.
 
-    Returns the four uint64 columns. Each hash call uses the next multiplier,
-    and how many calls a row makes depends only on its length, so one list of
-    Python-int constants serves every row.
+    Returns the four uint64 columns. Every row makes the same hash calls in
+    the same order, so one Python-int hash constant serves them all.
     """
     length = entropy.shape[1]
-    calls = _POOL_SIZE**2 + _POOL_SIZE * max(length - _POOL_SIZE, 0)
-    consts = iter(_hash_constants(_INIT_A, _MULT_A, calls))
-    xor_const = next(consts)
-
-    def hashmix(value):
-        nonlocal xor_const
-        mult = next(consts)
-        value = (value ^ xor_const) * mult
-        xor_const = mult
-        return value ^ (value >> 16)
+    hashmix = _hasher(_INIT_A, _MULT_A)
 
     def mix(x, y):
         value = x * _MIX_L - y * _MIX_R
@@ -227,11 +219,8 @@ def _seed_state(entropy: np.ndarray) -> list[np.ndarray]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
 
-    out_consts = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    words = []
-    for t in range(2 * _POOL_SIZE):
-        value = (pool[t % _POOL_SIZE] ^ out_consts[t]) * out_consts[t + 1]
-        words.append((value ^ (value >> 16)).astype(np.uint64))
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    words = [out_hash(pool[t % _POOL_SIZE]).astype(np.uint64) for t in range(2 * _POOL_SIZE)]
     return [words[2 * j] | (words[2 * j + 1] << 32) for j in range(_POOL_SIZE)]
 
 
@@ -310,8 +299,6 @@ def perturb(table: QuadratureTable, spec: NoiseSpec, run_index: int) -> Quadratu
 
     The reference for monte_carlo_study, which draws the same factors.
     """
-    if run_index < 0:
-        raise InvalidArgument(f"run_index must be >= 0, got {run_index}")
     factors = _slice_factors(spec, range(run_index, run_index + 1), table.phases.size)[0]
     return QuadratureTable(table.phases, table.x_grid, table.density * factors[:, None])
 

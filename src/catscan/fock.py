@@ -16,6 +16,13 @@ from .errors import InvalidArgument, TruncationError
 LEAKAGE_TOL = 1e-10
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype, always a copy: the caller's array stays writeable."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Amplitudes over |0> .. |n_max| in a truncated Fock space."""
@@ -23,13 +30,11 @@ class FockVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = _frozen(self.amplitudes, np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidArgument("amplitudes must be a 1-d array with n_max >= 1")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InvalidArgument("amplitudes must be finite")
-        amps = amps.copy()
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, TruncationError
-from .fock import LEAKAGE_TOL, FockVector
+from .fock import LEAKAGE_TOL, FockVector, _frozen
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class QuadratureTable:
     def __post_init__(self):
         phases = _grid_axis(self.phases)
         x_grid = _grid_axis(self.x_grid)
-        density = np.asarray(self.density, dtype=np.float64)
+        density = _frozen(self.density, np.float64)
         if density.shape != (phases.size, x_grid.size):
             raise InvalidArgument(
                 f"density shape {density.shape} does not match "
@@ -37,8 +37,6 @@ class QuadratureTable:
             raise InvalidArgument("density contains non-finite entries")
         if np.min(density) < -1e-12:
             raise InvalidArgument(f"density has negative entries (min {np.min(density):.3e})")
-        for arr in (phases, x_grid, density):
-            arr.setflags(write=False)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "x_grid", x_grid)
         object.__setattr__(self, "density", density)
@@ -53,8 +51,9 @@ class QuadratureTable:
 
 
 def _grid_axis(values) -> np.ndarray:
-    """values as a float grid axis, which must be 1-d, non-empty and strictly increasing."""
-    axis = np.asarray(values, dtype=np.float64)
+    """values as a read-only float grid axis of its own, which must be 1-d, non-empty and
+    strictly increasing."""
+    axis = _frozen(values, np.float64)
     if axis.ndim != 1 or axis.size < 1 or not np.all(np.diff(axis) > 0):
         raise InvalidArgument("grid axes must be 1-d, non-empty and strictly increasing")
     return axis
@@ -101,19 +100,24 @@ def default_phases(count: int = 11) -> np.ndarray:
     return np.arange(count) * (math.pi / 2) / (count - 1)
 
 
-def default_x_grid(mean_photon: float) -> np.ndarray:
-    """Uniform grid, step 0.01, wide enough for the lobes plus tails.
+# Cat size classes: (largest mean photon number, Fock truncation n_max, x grid
+# half-width). The limits carry a small slack so r = sqrt(5) and r = sqrt(10), whose
+# squared radii land a few ulp above the integer, take the intended class.
+_SIZE_CLASSES = ((5.0 + 1e-9, 50, 6.0), (10.0 + 1e-9, 60, 8.0))
 
-    The thresholds carry a small slack so r = sqrt(5) (whose squared
-    radius lands a few ulp above 5) selects the nbar <= 5 grid.
-    """
-    if mean_photon <= 5 + 1e-9:
-        half = 6.0
-    elif mean_photon <= 10 + 1e-9:
-        half = 8.0
-    else:
-        half = math.ceil(math.sqrt(mean_photon) + 5)
-    n = int(round(half / 0.01))
+
+def _size_class(mean_photon: float) -> tuple[int, float]:
+    """(n_max, x half-width) of the size class of a cat of mean photon number nbar; past
+    the table both grow with nbar."""
+    for limit, n_max, half in _SIZE_CLASSES:
+        if mean_photon <= limit:
+            return n_max, half
+    return 60 + 6 * math.ceil(mean_photon - 10.0), float(math.ceil(math.sqrt(mean_photon) + 5))
+
+
+def default_x_grid(mean_photon: float) -> np.ndarray:
+    """Uniform grid, step 0.01, over the size class's half-width: the lobes plus tails."""
+    n = int(round(_size_class(mean_photon)[1] / 0.01))
     return np.arange(-n, n + 1) * 0.01
 
 
@@ -149,8 +153,6 @@ def quadrature_distribution(state: FockVector, phi: float, x_grid: np.ndarray) -
 
 def build_table(state: FockVector, phases: np.ndarray, x_grid: np.ndarray) -> QuadratureTable:
     """Stack p(x, phi) rows for the given phases."""
-    phases = np.asarray(phases, dtype=np.float64)
-    x_grid = np.asarray(x_grid, dtype=np.float64)
     h = quadrature_wavefunctions(state.n_max, x_grid)
     # the quadrature_distribution of every phase, as two real products
     n = np.arange(state.n_max + 1)

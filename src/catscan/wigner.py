@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import _HERALD_FLOOR, CatSpec
 from .errors import InvalidArgument, ZeroNorm
-from .fock import FockVector, _displacement_matrix
+from .fock import FockVector, _displacement_matrix, _frozen
 from .quadrature import _grid_axis, _read_long_csv, _write_long_csv
 
 PAPER_SCALE = 2.0 * math.pi
@@ -43,7 +43,7 @@ class WignerGrid:
     def __post_init__(self):
         re_axis = _grid_axis(self.re_axis)
         im_axis = _grid_axis(self.im_axis)
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _frozen(self.values, np.float64)
         if self.convention not in CONVENTIONS:
             raise InvalidArgument(f"unknown convention {self.convention!r}")
         if values.shape != (re_axis.size, im_axis.size):
@@ -51,8 +51,6 @@ class WignerGrid:
                 f"values shape {values.shape} does not match axes "
                 f"({re_axis.size}, {im_axis.size})"
             )
-        for arr in (re_axis, im_axis, values):
-            arr.setflags(write=False)
         object.__setattr__(self, "re_axis", re_axis)
         object.__setattr__(self, "im_axis", im_axis)
         object.__setattr__(self, "values", values)

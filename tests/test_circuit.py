@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catscan import (
     BellState,
     CatSpec,
     HybridState,
     InvalidArgument,
+    PolarizationState,
     ZeroNorm,
     append_diagonal_photon,
     bell_state,
@@ -206,3 +209,62 @@ def test_diagonal_basis_is_involution():
     ghz = make_ghz(BellState.PHI_MINUS)
     back = diagonal_basis_amplitudes(diagonal_basis_amplitudes(ghz, 1), 1)
     assert np.max(np.abs(back.amplitudes - ghz.amplitudes)) < 1e-15
+
+
+def _bit_labels(k):
+    """basis_labels with photon i as bit k - 1 - i of the basis index."""
+    return ["".join("V" if (i >> (k - 1 - j)) & 1 else "H" for j in range(k)) for i in range(2**k)]
+
+
+def _bit_index(label):
+    idx = 0
+    for ch in label:
+        idx = (idx << 1) | (ch == "V")
+    return idx
+
+
+def _bit_kerr(amps, k, i, j, phase):
+    idx = np.arange(2**k)
+    both_v = ((idx >> (k - 1 - i)) & 1) & ((idx >> (k - 1 - j)) & 1)
+    return amps * np.where(both_v == 1, np.exp(1j * phase), 1.0)
+
+
+def _bit_diagonal(amps, k, photon):
+    amps = amps.copy()
+    bit = k - 1 - photon
+    idx = np.arange(2**k)
+    low = idx[(idx >> bit) & 1 == 0]
+    high = low | (1 << bit)
+    a_h, a_v = amps[low].copy(), amps[high].copy()
+    amps[low] = (a_h + a_v) / math.sqrt(2.0)
+    amps[high] = (a_h - a_v) / math.sqrt(2.0)
+    return amps
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _photon_states(draw):
+    k = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.tuples(_PART, _PART), min_size=2**k, max_size=2**k))
+    return PolarizationState(k, np.array([complex(re, im) for re, im in parts]))
+
+
+@settings(max_examples=150)
+@given(state=_photon_states(), data=st.data())
+def test_photon_axes_match_the_bit_index_layout(state, data):
+    # bit for bit, so a -0.0 that the bit-index forms keep is kept too
+    k = state.k
+    assert state.basis_labels() == _bit_labels(k)
+    for label in _bit_labels(k):
+        want = np.complex128(state.amplitudes[_bit_index(label)])
+        assert np.complex128(state.amplitude(label)).tobytes() == want.tobytes()
+    photon = data.draw(st.integers(0, k - 1))
+    got = diagonal_basis_amplitudes(state, photon).amplitudes
+    assert got.tobytes() == _bit_diagonal(state.amplitudes, k, photon).tobytes()
+    if k >= 2:
+        i, j = data.draw(st.permutations(range(k)))[:2]
+        phase = data.draw(st.floats(-7.0, 7.0))
+        got = kerr_two_photon_gate(state, (i, j), phase).amplitudes
+        assert got.tobytes() == _bit_kerr(state.amplitudes, k, i, j, phase).tobytes()

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from catscan import (
-    CatSpec, InvalidArgument, NoiseSpec, QuadratureTable, WignerGrid, monte_carlo_study,
+    BellState, CatSpec, InvalidArgument, NoiseSpec, QuadratureTable, WignerGrid, monte_carlo_study,
     published_branch_weight,
 )
 from catscan.cli import _SCHEMA, build_parser, main, parse_config
@@ -220,11 +220,23 @@ def test_minus_cat_just_above_floor_exits_0(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
-def test_ghz_output(capsys):
-    assert main(["ghz", "phi-plus"]) == 0
+# photon 3's 45/135 outcome picks the pair: phi pairs agree, psi pairs differ
+_GHZ_DIAGONAL_LINES = {
+    BellState.PHI_PLUS: ("|HH45> : +0.707107", "|VV135> : +0.707107"),
+    BellState.PHI_MINUS: ("|HH45> : +0.707107", "|VV135> : -0.707107"),
+    BellState.PSI_PLUS: ("|HV135> : +0.707107", "|VH45> : +0.707107"),
+    BellState.PSI_MINUS: ("|HV135> : +0.707107", "|VH45> : -0.707107"),
+}
+
+
+@pytest.mark.parametrize("which", list(BellState))
+def test_ghz_output(capsys, which):
+    assert main(["ghz", which.value]) == 0
     out = capsys.readouterr().out
-    assert "|HH45> : +0.707107" in out
-    assert "|VV135> : +0.707107" in out
+    diagonal = out.split("photon 3 in the 45/135 basis", 1)[1].splitlines()[1:4]
+    for line, want in zip(diagonal, _GHZ_DIAGONAL_LINES[which]):
+        assert re.fullmatch(re.escape(f"  {want}") + r"[+-]0\.000000j", line), line
+    assert diagonal[2].startswith("input pair")
     assert "correlation check: PASS" in out
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,50 @@ def test_default_n_max_branches():
     assert default_n_max(5.0000000001) == 50
     assert default_n_max(10.0000000001) == 60
     assert default_n_max(16.0) > 60
+
+
+def _branch_n_max(nbar):
+    """default_n_max as it was written before the size classes had one table."""
+    if nbar <= 5.0 + 1e-9:
+        return 50
+    if nbar <= 10.0 + 1e-9:
+        return 60
+    return 60 + 6 * math.ceil(nbar - 10.0)
+
+
+def _branch_x_grid(nbar):
+    """default_x_grid as it was written before the size classes had one table."""
+    if nbar <= 5 + 1e-9:
+        half = 6.0
+    elif nbar <= 10 + 1e-9:
+        half = 8.0
+    else:
+        half = math.ceil(math.sqrt(nbar) + 5)
+    n = int(round(half / 0.01))
+    return np.arange(-n, n + 1) * 0.01
+
+
+_CLASS_EDGES = [
+    edge + offset
+    for edge in (5.0, 10.0, math.sqrt(5.0) ** 2, math.sqrt(10.0) ** 2)
+    for offset in (0.0, 1e-9, 2e-9)
+] + [np.nextafter(limit, math.inf) for limit in (5.0, 10.0, 5.0 + 1e-9, 10.0 + 1e-9)]
+
+
+def test_size_classes_match_the_branch_formulas():
+    for nbar in _CLASS_EDGES + np.linspace(0.0, 1000.0, 241)[1:].tolist():
+        assert default_n_max(nbar) == _branch_n_max(nbar), nbar
+        assert default_x_grid(nbar).tobytes() == _branch_x_grid(nbar).tobytes(), nbar
+        cat = CatSpec(math.sqrt(nbar), 1.0)
+        want = _branch_x_grid(cat.mean_photon)
+        if _branch_n_max(cat.mean_photon) > 1000:
+            with pytest.raises(InvalidArgument):
+                ExperimentConfig(cat)
+            continue
+        config = ExperimentConfig(cat)
+        assert config.n_max == _branch_n_max(cat.mean_photon), nbar
+        assert config.x_max == float(want[-1]), nbar
+        assert config.x_grid().tobytes() == want.tobytes(), nbar
 
 
 def test_noise_spec_validation():
@@ -106,6 +154,25 @@ def test_perturb_scales_each_slice_uniformly(cat_table):
 def test_perturb_rejects_negative_run(cat_table):
     with pytest.raises(InvalidArgument):
         perturb(cat_table, NoiseSpec(magnitude=0.1, runs=1, seed=1), -1)
+
+
+def test_uniform_draws_reject_a_negative_seed_word():
+    # in a child under a timeout: splitting a negative int into 32-bit words never ends
+    code = (
+        "from catscan.errors import InvalidArgument\n"
+        "from catscan.experiment import _uniform_draws\n"
+        "try:\n"
+        "    _uniform_draws(-1, range(1), 1)\n"
+        "except InvalidArgument:\n"
+        "    print('InvalidArgument')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.stdout == "InvalidArgument\n", proc.stderr
 
 
 _WORD_EDGES = st.sampled_from([0, 2**32 - 1, 2**32])

@@ -14,6 +14,7 @@ from catscan import (
     InvalidArgument,
     QuadratureTable,
     ReconstructionConfig,
+    WignerGrid,
     ZeroNorm,
     build_table,
     cat_wigner_terms,
@@ -21,6 +22,7 @@ from catscan import (
     default_n_max,
     default_phases,
     default_x_grid,
+    evaluate_grid,
     make_cat,
     reconstruct,
     reconstruct_at,
@@ -48,6 +50,38 @@ def test_config_for_mean_photon():
     assert cfg.cutoff_kc == pytest.approx(2.0 * (2.0 * math.sqrt(5.0) + 4.0))
     with pytest.raises(InvalidArgument):
         ReconstructionConfig.for_mean_photon(-1.0)
+
+
+def _built_from_caller_arrays(holder):
+    """(the caller's arrays, the object built from them, the names of its arrays)."""
+    phases, x = default_phases(3), default_x_grid(1.0)
+    density = np.ones((phases.size, x.size))
+    u, v = np.linspace(-0.5, 0.5, 3), np.linspace(-0.25, 0.25, 2)
+    values = np.ones((u.size, v.size))
+    table, grid = ("phases", "x_grid", "density"), ("re_axis", "im_axis", "values")
+    if holder == "build_table":
+        return (phases, x), build_table(vacuum(20), phases, x), table
+    if holder == "QuadratureTable":
+        return (phases, x, density), QuadratureTable(phases, x, density), table
+    if holder == "reconstruct":
+        measured = build_table(vacuum(20), default_phases(), default_x_grid(1.0))
+        return (u, v), reconstruct(measured, u, v, ReconstructionConfig(8.0)), grid
+    if holder == "evaluate_grid":
+        return (u, v), evaluate_grid([(1.0, 0.0)], u, v), grid
+    return (u, v, values), WignerGrid(u, v, values), grid
+
+
+@pytest.mark.parametrize(
+    "holder", ["build_table", "QuadratureTable", "reconstruct", "evaluate_grid", "WignerGrid"]
+)
+def test_frozen_types_hold_read_only_copies_of_the_callers_arrays(holder):
+    given, made, names = _built_from_caller_arrays(holder)
+    for arr in given:
+        assert arr.flags.writeable
+    for name in names:
+        held = getattr(made, name)
+        assert not held.flags.writeable
+        assert not any(np.shares_memory(held, arr) for arr in given)
 
 
 def _mirrored(table):
