@@ -23,13 +23,14 @@ The phase sum runs over the measured slices. A table measured on [0, pi/2]
 fixes the whole period: for a conjugation-symmetric state (Fock amplitudes
 real up to a global phase; Leonhardt, Measuring the Quantum State of Light,
 ch. 5) p(x, pi - phi) = p(-x, phi), so each measured slice implies its mirror,
-whose P is conj P. With a = k u cos(phi) and b = k v sin(phi), the product
-rules for cos and sin give the slice and its mirror one share in cos a, sin a
-and cos b: it needs no sin b, and on the real axis (v = 0) neither cos b nor
-sin b, so a scan along u takes half the trig values of a slice-by-slice sum.
+whose P is conj P. With a = k u cos(phi) and b = k v sin(phi), a slice and its
+mirror add up to 2 cos b (Re P cos a + Im P sin a), and on the real axis
+(v = 0) to 2 (Re P cos a + Im P sin a): half the trig values of the two
+slices' own terms.
 Such a table is read as one half of a conjugation-symmetric state: an
 asymmetric state must be measured over a full period of pi, and each slice
-of that table, like pi/2 of a measured half, stands alone.
+of that table, like pi/2 of a measured half, stands alone with its textbook
+term Re P cos(k s) + Im P sin(k s).
 """
 
 from __future__ import annotations
@@ -206,48 +207,39 @@ def _slice_weights(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(implied, 2.0, 1.0) * weights, implied
 
 
-def _slice_share(a, b, even, odd):
-    """The cos a part, sum_k cos b even_0 cos a + sin b odd_0 cos a, and the sin a
-    part, sum_k cos b even_1 sin a + sin b odd_1 sin a, over the points x k phases
-    a and b, which it overwrites.
+def _slice_share(a, b, even, implied):
+    """A slice's cos part, sum_k even_0 cos, and sin part, sum_k even_1 sin, over
+    the points x k phases a and b, which it overwrites.
 
-    b is None on the real axis (cos b = 1, sin b = 0) and odd is None for a
-    slice that implies its mirror (odd = 0). Each shortcut drops only exact
-    ones and zeros and keeps the general formula's buffers, so it returns the
-    same values.
+    A slice that stands alone takes its own term: cos(a + b) and sin(a + b),
+    with k s = a + b. A slice that implies its mirror takes cos b cos a and
+    cos b sin a, the slice's and its mirror's terms added. b is None on the
+    real axis, where both forms are cos a and sin a.
     """
+    if b is not None and not implied:
+        a += b
     sin_a = np.sin(a)
     cos_a = np.cos(a, out=a)
-    if b is None:
-        return cos_a @ even[0], sin_a @ even[1]
-    cos_odd = sin_odd = 0.0
-    if odd is not None:
-        sin_b = np.sin(b)
-        cos_odd = (sin_b * cos_a) @ odd[0]
-        sin_odd = (sin_b * sin_a) @ odd[1]
-    cos_b = np.cos(b, out=b)
-    cos_a *= cos_b
-    sin_a *= cos_b
-    return cos_a @ even[0] + cos_odd, sin_a @ even[1] + sin_odd
+    if b is not None and implied:
+        cos_b = np.cos(b, out=b)
+        cos_a *= cos_b
+        sin_a *= cos_b
+    return cos_a @ even[0], sin_a @ even[1]
 
 
 def _phase_sum(re_p, im_p, phases, k, k_weights, u, v):
-    """The cos a and sin a parts of each measured slice's share of W, its implied
+    """The cos and sin parts of each measured slice's share of W, its implied
     mirror included: shape (2, slices) + point shape.
 
     Slice i brings (1 / 4 pi^2) w_i sum_k 2 k w_k Re[P_i(k) exp(-i k s_i)], from
-    Re P and Im P at the k nodes (slices x nodes). With a = k u cos(phi) and
-    b = k v sin(phi), slice phi brings
+    Re P and Im P at the k nodes (slices x nodes): Re P cos(k s) + Im P sin(k s).
+    With a = k u cos(phi) and b = k v sin(phi), so k s = a + b, its implied
+    mirror at pi - phi, weighted alike, brings Re P' cos(b - a) + Im P' sin(b - a)
+    with P' = conj P, and the two add up to 2 cos b (Re P cos a + Im P sin a).
 
-        cos b [Re P cos a + Im P sin a] + sin b [Im P cos a - Re P sin a].
-
-    Its implied mirror at pi - phi, weighted alike, brings Re P' cos(b - a)
-    + Im P' sin(b - a) with P' = conj P: the first bracket doubles and the
-    second cancels. When every v is 0, cos b = 1 and sin b = 0.
-
-    The cos a part is even in u and the sin a part odd. On the real axis of a
-    table that is symmetric in x, the sin a part is rounding noise: added to
-    each slice's cos a part it would round W(u) and W(-u) apart, so
+    On the real axis the cos part is even in u and the sin part odd, and of a
+    table that is symmetric in x, the sin part is rounding noise: added to
+    each slice's cos part it would round W(u) and W(-u) apart, so
     _slice_total adds the two parts only once each is summed over the slices.
     """
     shape = np.broadcast_shapes(u.shape, v.shape)
@@ -263,13 +255,12 @@ def _phase_sum(re_p, im_p, phases, k, k_weights, u, v):
         for j, phi in enumerate(phases):
             a = np.multiply.outer(u_block * math.cos(phi), k)
             b = None if real_axis else np.multiply.outer(v_block * math.sin(phi), k)
-            odd = None if implied[j] else (im_w[j], -re_w[j])
-            shares[:, j, lo : lo + block] = _slice_share(a, b, (re_w[j], im_w[j]), odd)
+            shares[:, j, lo : lo + block] = _slice_share(a, b, (re_w[j], im_w[j]), implied[j])
     return shares.reshape((2, phases.size) + shape)
 
 
 def _slice_total(shares, re_pts, im_pts):
-    """The cos a parts and the sin a parts each summed in slice order (np.sum
+    """The cos parts and the sin parts each summed in slice order (np.sum
     would group them differently), then added: a float when both point inputs
     are 0-d, else an array of their broadcast shape."""
     cos_total, sin_total = np.zeros(shares.shape[:1] + shares.shape[2:])
@@ -281,7 +272,7 @@ def _slice_total(shares, re_pts, im_pts):
 
 
 def _back_project(table: QuadratureTable, re_pts, im_pts, config: ReconstructionConfig):
-    """The cos a and sin a parts of each measured slice's share of W (phys
+    """The cos and sin parts of each measured slice's share of W (phys
     convention): shape (2, slices) + point shape."""
     u, v, reach = _points(re_pts, im_pts)
     x, density = table.x_grid, table.density

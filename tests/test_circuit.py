@@ -211,6 +211,16 @@ def test_diagonal_basis_is_involution():
     assert np.max(np.abs(back.amplitudes - ghz.amplitudes)) < 1e-15
 
 
+def test_diagonal_basis_photon_index_error():
+    with pytest.raises(IndexError, match="photon index 3 out of range for k=3"):
+        diagonal_basis_amplitudes(make_ghz(BellState.PHI_PLUS), 3)
+
+
+def test_polarization_state_needs_2_to_the_k_amplitudes():
+    with pytest.raises(InvalidArgument, match="length 2\\^k"):
+        PolarizationState(2, np.ones(3))
+
+
 def _bit_labels(k):
     """basis_labels with photon i as bit k - 1 - i of the basis index."""
     return ["".join("V" if (i >> (k - 1 - j)) & 1 else "H" for j in range(k)) for i in range(2**k)]

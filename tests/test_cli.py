@@ -14,6 +14,7 @@ from catscan import (
     BellState, CatSpec, InvalidArgument, NoiseSpec, QuadratureTable, WignerGrid, monte_carlo_study,
     published_branch_weight,
 )
+from catscan import cli as cli_module
 from catscan.cli import _SCHEMA, build_parser, main, parse_config
 from catscan.experiment import ExperimentConfig
 
@@ -344,6 +345,24 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 4
     assert "4/4 checks passed" in out
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    """A scale calibration 5% off 2 pi fails its check: verify prints it and
+    exits 6 (EXIT_OTHER) without a traceback."""
+    calibrate = cli_module.calibrate_display_scale
+
+    def off_scale():
+        cal = calibrate()
+        return {**cal, "factors": {name: 1.05 * f for name, f in cal["factors"].items()}}
+
+    monkeypatch.setattr(cli_module, "calibrate_display_scale", off_scale)
+    assert main(["verify"]) == 6
+    captured = capsys.readouterr()
+    assert "[FAIL] display-scale factor consistent with 2 pi: " in captured.out
+    assert captured.out.count("[PASS]") == 3
+    assert "3/4 checks passed" in captured.out
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,11 @@ def test_coherent_truncation_guard():
         coherent_state(6.0, 20)
 
 
+def test_coherent_state_needs_a_level_above_vacuum():
+    with pytest.raises(InvalidArgument, match="n_max must be >= 1"):
+        coherent_state(0.5, 0)
+
+
 def test_coherent_overlap_closed_form():
     b1, b2 = 1.1 + 0.4j, -0.6 + 0.9j
     got = inner_product(coherent_state(b1, 60), coherent_state(b2, 60))

@@ -218,6 +218,10 @@ def test_table_validation():
         QuadratureTable(np.array([0.0, 1.0]), np.linspace(-1, 1, 5), np.zeros((3, 5)))
     with pytest.raises(InvalidArgument):
         QuadratureTable(np.array([0.0, 1.0]), np.linspace(-1, 1, 5), -np.ones((2, 5)))
+    density = np.full((2, 5), 0.1)
+    density[1, 2] = np.nan
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        QuadratureTable(np.array([0.0, 1.0]), np.linspace(-1, 1, 5), density)
 
 
 @pytest.mark.parametrize(

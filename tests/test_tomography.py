@@ -182,7 +182,7 @@ def test_extended_slices_match_the_mirrored_phases(count, r, theta, sign):
 @given(**CAT_DRAWS)
 def test_implied_mirrors_match_measured_ones(r, theta, sign):
     """The measured [0, pi/2] table reconstructs as the table measured on the
-    mirrored full grid, which takes the general pair form. Like the mirrored
+    mirrored full grid, each of whose slices stands alone. Like the mirrored
     slices, the difference grows as 1/sqrt(p): |diff| sqrt(p) read at most
     2.8e-16 over 345 random cats with p down to 1.2e-14."""
     state, prob = _heralded_cat(r, theta, sign)
@@ -508,13 +508,13 @@ def test_engine_matches_same_phase_closed_form_for_any_cat(r, theta, sign, point
 
 
 def _shortcuts_taken(monkeypatch):
-    """Record, per measured slice, whether _phase_sum takes the conjugate shortcut."""
+    """Record, per measured slice, whether _phase_sum takes the conjugate form."""
     taken = []
     slice_share = tomography_module._slice_share
 
-    def spy(a, b, even, odd):
-        taken.append(odd is None)
-        return slice_share(a, b, even, odd)
+    def spy(a, b, even, implied):
+        taken.append(bool(implied))
+        return slice_share(a, b, even, implied)
 
     monkeypatch.setattr(tomography_module, "_slice_share", spy)
     return taken
@@ -532,7 +532,7 @@ def _coherent_table(phases):
 @pytest.mark.parametrize("grid", FULL_GRIDS)
 def test_engine_matches_closed_form_of_an_asymmetric_state(grid, monkeypatch):
     """A coherent state off both axes, on a periodic [0, pi) or closed [0, pi]
-    grid, not extended: each measured slice stands alone, in the general form.
+    grid, not extended: each measured slice stands alone, in the textbook form.
 
     Every cat is symmetric under v -> -v; this state is not, so the closed
     form of the conjugate state (0.56 away) pins the phase convention.
@@ -859,9 +859,9 @@ def test_pair_shares_are_the_folded_slice_terms(grid, conjugate, on_axis):
 def test_conjugate_shortcut_gives_the_general_formula_bit_for_bit():
     """The measured half's implied mirrors against the slice-by-slice sum of the
     full grid whose mirror rows of P are exact conjugates. The two sum in a
-    different order, so they agree to rounding; that the shortcut is the
-    general formula with odd = 0 bit for bit is
-    test_real_axis_shortcut_gives_the_general_formula_bit_for_bit's check."""
+    different order, so they agree to rounding; that each form is its formula
+    bit for bit is test_real_axis_shortcut_gives_the_general_formula_bit_for_bit's
+    check."""
     phases = np.linspace(0.0, math.pi, 21)
     rng = np.random.default_rng(7)
     re_p, im_p, k, k_weights = _random_char(rng, phases, conjugate=True)
@@ -871,28 +871,27 @@ def test_conjugate_shortcut_gives_the_general_formula_bit_for_bit():
     assert np.max(np.abs(implied.sum(0) - terms)) <= 1e-13 * np.max(np.abs(terms))
 
 
-@pytest.mark.parametrize("conjugate", [False, True], ids=["general", "conjugate"])
-def test_real_axis_shortcut_gives_the_general_formula_bit_for_bit(conjugate):
+@pytest.mark.parametrize("implied", [False, True], ids=["general", "conjugate"])
+def test_real_axis_shortcut_gives_the_general_formula_bit_for_bit(implied):
+    """Each form is its formula bit for bit: the real-axis shortcut is b = 0,
+    a slice that stands alone ("general") takes cos(a + b) and sin(a + b), and
+    a slice that implies its mirror cos a cos b and sin a cos b."""
     rng = np.random.default_rng(8)
-    a = np.multiply.outer(rng.uniform(-3.0, 3.0, 9), np.linspace(0.0, 12.0, 40))
+    a, b = np.multiply.outer(rng.uniform(-3.0, 3.0, (2, 9)), np.linspace(0.0, 12.0, 40))
     even = tuple(rng.normal(size=(2, 40)))
-    odd = None if conjugate else tuple(rng.normal(size=(2, 40)))
-    shortcut = tomography_module._slice_share(a.copy(), None, even, odd)
-    general = tomography_module._slice_share(a.copy(), np.zeros_like(a), even, odd)
-    assert np.array_equal(shortcut, general)
-    if not conjugate:
-        # and the conjugate shortcut, off the axis, is the general formula with odd = 0
-        b = np.multiply.outer(rng.uniform(-3.0, 3.0, 9), np.linspace(0.0, 12.0, 40))
-        zeros = (np.zeros(40), np.zeros(40))
-        assert np.array_equal(
-            tomography_module._slice_share(a.copy(), b.copy(), even, None),
-            tomography_module._slice_share(a.copy(), b.copy(), even, zeros),
-        )
+    share = tomography_module._slice_share
+    on_axis = share(a.copy(), None, even, implied)
+    assert np.array_equal(on_axis, share(a.copy(), np.zeros_like(a), even, implied))
+    if implied:
+        want = ((np.cos(a) * np.cos(b)) @ even[0], (np.sin(a) * np.cos(b)) @ even[1])
+    else:
+        want = (np.cos(a + b) @ even[0], np.sin(a + b) @ even[1])
+    assert np.array_equal(share(a.copy(), b.copy(), even, implied), want)
 
 
 def test_conjugate_shortcut_is_decided_from_the_phase_grid(monkeypatch):
     """A measured [0, pi/2] table takes the conjugate form on every slice but
-    pi/2, its own mirror; a table measured on [0, pi] takes the general form on
+    pi/2, its own mirror; a table measured on [0, pi] takes the textbook form on
     every measured slice, whatever its rows. The table the benchmark's
     wigner-map set-up builds, the noise study's shares and its clean scan all
     take the conjugate form, as each phase-sum block shows."""

@@ -67,6 +67,13 @@ def test_zero_norm_superposition_rejected():
         wigner_superposition([(1.0, 0.5), (-1.0, 0.5)], 0.0)
 
 
+def test_empty_superposition_rejected():
+    with pytest.raises(InvalidArgument, match="need at least one term"):
+        wigner_superposition([], 0.0)
+    with pytest.raises(InvalidArgument, match="need at least one term"):
+        evaluate_grid([], np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+
+
 @pytest.mark.parametrize("r", [1.2e-7, 1e-6])
 def test_vanishing_minus_cat_approaches_one_photon(r):
     # |ir> - |-ir> -> |1> as r -> 0; the exact W differs from the limit by O(r^2)
@@ -185,6 +192,18 @@ def test_wigner_grid_csv_roundtrip(tmp_path):
     assert back.convention == "paper"
     assert np.array_equal(back.re_axis, grid.re_axis)
     assert np.array_equal(back.im_axis, grid.im_axis)
+    assert np.array_equal(back.values, grid.values)
+
+
+def test_wigner_grid_csv_without_convention_reads_as_phys(tmp_path):
+    grid = evaluate_grid([(1.0, 0.5)], np.linspace(-1, 1, 5), np.linspace(-1, 1, 3), "paper")
+    path = tmp_path / "w.csv"
+    grid.to_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "# convention: paper\n"
+    path.write_text("".join(lines[1:]))
+    back = WignerGrid.from_csv(path)
+    assert back.convention == "phys"
     assert np.array_equal(back.values, grid.values)
 
 
