@@ -33,10 +33,6 @@ class HybridState:
         if self.amp_h.n_max != self.amp_v.n_max:
             raise InvalidArgument("H and V branches must share n_max")
 
-    @property
-    def n_max(self) -> int:
-        return self.amp_h.n_max
-
     def norm(self) -> float:
         return math.hypot(self.amp_h.norm(), self.amp_v.norm())
 

@@ -14,7 +14,7 @@ from .circuit import (
     BellState, CatSpec, _herald, bell_state, diagonal_basis_amplitudes, make_cat, make_ghz,
 )
 from .errors import CatscanError, InvalidArgument, RegionError, TruncationError
-from .experiment import ExperimentConfig, NoiseSpec, _clean_scan, _uniform_draws, monte_carlo_study
+from .experiment import ExperimentConfig, NoiseSpec, _uniform_draws, find_minimum, monte_carlo_study
 from .fock import mean_photon_number, vacuum
 from .quadrature import _check_slice_areas, build_table, default_phases, default_x_grid
 from .tomography import ReconstructionConfig, reconstruct_at, reconstruct_closed_form
@@ -93,11 +93,7 @@ def parse_config(path) -> ExperimentConfig:
         raise InvalidArgument(f"{path}: noise_runs and noise_seed need noise_magnitude")
     noise = probe = None
     if "noise_magnitude" in vals:
-        noise = NoiseSpec(
-            magnitude=vals["noise_magnitude"],
-            runs=vals.get("noise_runs", 50),
-            seed=vals.get("noise_seed", 0),
-        )
+        noise = NoiseSpec(**{k.removeprefix("noise_"): v for k, v in vals.items() if k.startswith("noise_")})
     if "probe_re" in vals or "probe_im" in vals:
         probe = (vals.get("probe_re", 0.0), vals.get("probe_im", 0.0))
     return ExperimentConfig(
@@ -195,7 +191,9 @@ def _cmd_wigner_oracle(args) -> int:
 def _cmd_reconstruct(args) -> int:
     cfg = args.config_data
     table = _config_table(cfg)
-    report = _clean_scan(table, cfg.recon, cfg.search_region, convention=args.convention)
+    report = find_minimum(
+        lambda u, v: reconstruct_at(table, u, v, cfg.recon), cfg.search_region, convention=args.convention
+    )
     path = _out_path(args, "_minimum.json")
     report.to_json(path)
     print(f"wrote {path}")

@@ -48,8 +48,8 @@ def default_n_max(mean_photon: float) -> int:
 @dataclass(frozen=True)
 class NoiseSpec:
     magnitude: float
-    runs: int
-    seed: int
+    runs: int = 50
+    seed: int = 0
     model: str = "per_slice_multiplicative"
 
     def __post_init__(self):
@@ -132,7 +132,7 @@ class ExperimentConfig:
         if not (self.wigner_step > 0.0 and self.wigner_range > 0.0):
             raise InvalidArgument("wigner grid spec requires positive range and step")
         _check_grid_size("wigner grid axis", self._wigner_axis_size(), WIGNER_AXIS_LIMIT)
-        # reconstruct scans it at SCAN_STEP; find_minimum rejects a degenerate one
+        # reconstruct scans it at SCAN_STEP; _scan_points rejects a degenerate one here
         _check_grid_size("search region scan", _scan_points(self.search_region), SEARCH_POINT_LIMIT)
         # each artifact is <out_prefix><suffix>, a file inside the output directory
         if self.out_prefix in ("", ".", "..") or "/" in self.out_prefix or "\\" in self.out_prefix:
@@ -344,14 +344,17 @@ def _scan_axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _scan_points(search_region, step: float = SCAN_STEP) -> float:
     """The points find_minimum scans: per axis, numpy's length of _scan_axis,
-    ceil((stop - start) / step), 0 if that quotient is not positive, inf if not finite."""
-    points = 1.0
-    for lo, hi in search_region:
-        n = (hi + step / 2.0 - lo) / step
-        if n <= 0.0:
-            return 0.0
-        points *= math.ceil(n) if math.isfinite(n) else math.inf
-    return points
+    ceil((stop - start) / step), inf if that quotient is not finite. InvalidArgument
+    unless the bounds are finite, re_hi > re_lo, im_hi >= im_lo and each axis has a
+    node (far from 0, a zero-width axis plus half a step rounds back to its start)."""
+    (re_lo, re_hi), (im_lo, im_hi) = search_region
+    quotients = [(hi + step / 2.0 - lo) / step for lo, hi in search_region]
+    bounds_finite = all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi)))
+    if not (bounds_finite and re_hi > re_lo and im_hi >= im_lo and min(quotients) > 0.0):
+        raise InvalidArgument(
+            f"search region must be finite and non-degenerate, got {search_region!r}"
+        )
+    return math.prod(math.ceil(n) if math.isfinite(n) else math.inf for n in quotients)
 
 
 def _parabola_refine(f0: float, f1: float, f2: float, h: float) -> float:
@@ -373,19 +376,15 @@ def find_minimum(
     target is a callable f(u_column, v_row) -> grid in phys convention,
     scanned over the whole region; a caller after a local minimum passes the
     window around it as the region. A region with one v node is a 1-d scan
-    along u. RegionError is raised when the scan minimum sits on an end of
+    along u. _scan_points rejects a degenerate region with InvalidArgument;
+    RegionError is raised when the scan minimum sits on an end of
     the u axis, or of a v axis with more than one node, since the quadratic
     refinement (and the minimum itself) is then unconstrained.
     """
     if not 0.0 < step <= 0.01:
         raise InvalidArgument(f"scan step must lie in (0, 0.01], got {step}")
+    _scan_points(search_region, step)
     (re_lo, re_hi), (im_lo, im_hi) = search_region
-    bounds_finite = all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi)))
-    if not (bounds_finite and re_hi > re_lo and im_hi >= im_lo):
-        raise InvalidArgument(
-            f"search region must be finite and non-degenerate, got {search_region!r}"
-        )
-
     us = _scan_axis(re_lo, re_hi, step)
     vs = _scan_axis(im_lo, im_hi, step)
     vals = np.asarray(target(us[:, None], vs[None, :]), dtype=np.float64)
@@ -416,13 +415,6 @@ def find_minimum(
         mean=value,
         stddev=0.0,
         convention=convention,
-    )
-
-
-def _clean_scan(table, recon_config, search_region, step=SCAN_STEP, convention="phys"):
-    """find_minimum of the noiseless reconstruction from the measured [0, pi/2] table."""
-    return find_minimum(
-        lambda u, v: reconstruct_at(table, u, v, recon_config), search_region, step, convention
     )
 
 
@@ -467,8 +459,9 @@ def monte_carlo_study(
     x_grid = experiment.x_grid() if x_grid is None else x_grid
     table = _check_slice_areas(build_table(make_cat(cat, experiment.n_max), phases, x_grid))
     if probe_point is None:
-        scan = _clean_scan(table, recon_config, experiment.search_region, STUDY_SCAN_STEP)
-        probe_point = scan.location
+        probe_point = find_minimum(
+            lambda u, v: reconstruct_at(table, u, v, recon_config), experiment.search_region, STUDY_SCAN_STEP
+        ).location
     u0, v0 = float(probe_point[0]), float(probe_point[1])
     parts = slice_terms(table, u0, v0, recon_config) * scale
     clean_value = float(parts.sum())

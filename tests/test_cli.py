@@ -51,6 +51,8 @@ def test_parse_config_defaults(tmp_path):
     grid = cfg.x_grid()
     assert grid.size == 1201 and grid[0] == -grid[-1] == -6.0
     assert cfg.phases().size == 11
+    noisy = parse_config(write_config(tmp_path, BASE_CONFIG + "noise_magnitude = 0.3\n"))
+    assert noisy.noise == NoiseSpec(0.3, 50, 0)
 
 
 def test_parse_config_of_r_and_theta_is_the_experiment_defaults(tmp_path):

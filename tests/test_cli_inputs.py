@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catscan.cli as cli_module
@@ -16,7 +16,9 @@ from catscan import (
     InvalidArgument, MinimumReport, QuadratureTable, RegionError, WignerGrid, find_minimum,
 )
 from catscan.cli import main, parse_config
-from catscan.experiment import SCAN_STEP, SEARCH_POINT_LIMIT, WIGNER_AXIS_LIMIT, _scan_points
+from catscan.experiment import (
+    SCAN_STEP, SEARCH_POINT_LIMIT, WIGNER_AXIS_LIMIT, _scan_axis, _scan_points,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 BASE_CONFIG = """
@@ -80,17 +82,17 @@ def test_search_regions_at_the_limit_parse(tmp_path, extra):
     short_span=st.floats(0.0, 0.02),
     long_axis=st.sampled_from([0, 1]),
 )
+@example(los=(0.0, 0.0), long_span=-0.01, short_span=0.0, long_axis=0)  # inverted u range
+@example(los=(0.0, 0.0), long_span=0.0, short_span=0.0, long_axis=0)  # zero-width u range
+@example(los=(0.0, 0.0), long_span=-0.01, short_span=0.02, long_axis=1)  # inverted v range
+@example(los=(0.0, 1e20), long_span=1.0, short_span=0.0, long_axis=0)  # 1e20 + step / 2 is 1e20
 def test_search_limit_counts_the_points_find_minimum_scans(los, long_span, short_span, long_axis):
-    """The count the config limit reads is the size of the grid find_minimum hands its target."""
+    """The config rejects a region as degenerate exactly when find_minimum does, before
+    the target is called, and the count the config limit reads is the size of the
+    grid find_minimum hands its target."""
     spans = (long_span, short_span) if long_axis == 0 else (short_span, long_span)
     region = tuple((lo, lo + span) for lo, span in zip(los, spans))
-    points = _scan_points(region)
     config = parse_config(REPO / "configs" / "theta90.cfg")
-    if points > SEARCH_POINT_LIMIT:
-        with pytest.raises(InvalidArgument, match="search region scan"):
-            replace(config, search_region=region)
-        return
-    assert replace(config, search_region=region).search_region == region
     sizes = []
 
     def target(u, v):
@@ -98,14 +100,43 @@ def test_search_limit_counts_the_points_find_minimum_scans(los, long_span, short
         return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     (re_lo, re_hi), (im_lo, im_hi) = region
+    nodes = [_scan_axis(lo, hi, SCAN_STEP).size for lo, hi in region]
+    if not (re_hi > re_lo and im_hi >= im_lo and min(nodes) > 0):
+        for scan in (lambda: replace(config, search_region=region), lambda: find_minimum(target, region)):
+            with pytest.raises(InvalidArgument, match="non-degenerate"):
+                scan()
+        assert not sizes
+        return
+    points = _scan_points(region)
+    if points > SEARCH_POINT_LIMIT:
+        with pytest.raises(InvalidArgument, match="search region scan"):
+            replace(config, search_region=region)
+        return
+    assert replace(config, search_region=region).search_region == region
     try:
         find_minimum(target, region)
     except RegionError:  # the constant target's minimum is a corner: the scan still ran
         pass
-    except InvalidArgument:
-        assert not sizes and not (re_hi > re_lo and im_hi >= im_lo)
-        return
     assert sizes[0] == points
+
+
+@pytest.mark.parametrize("command", ["quadrature", "wigner-oracle", "reconstruct", "noise-study"])
+@pytest.mark.parametrize(
+    "extra,region",
+    [
+        ("search_re_min = 1\nsearch_re_max = 0\n", ((1.0, 0.0), (0.0, 0.0))),
+        ("search_im_min = 1e20\nsearch_im_max = 1e20\n", ((-0.01, 2.0 * 2.2360679774997896), (1e20, 1e20))),
+    ],
+    ids=["inverted-u", "v-without-a-node"],
+)
+def test_a_degenerate_search_region_exits_2_for_every_command(tmp_path, capsys, command, extra, region):
+    """Once only reconstruct rejected the inverted region, after measuring the table,
+    and the v axis with no node ended reconstruct in a traceback."""
+    text = BASE_CONFIG + extra + "noise_magnitude = 0.25\nprobe_re = 0.3346\n"
+    assert _run(tmp_path, command, text) == 2
+    err = _assert_one_line_config_error(capsys)
+    assert err.endswith(f": search region must be finite and non-degenerate, got {region!r}\n")
+    assert not list(tmp_path.glob("smoke*"))
 
 
 @settings(max_examples=60)
@@ -265,7 +296,7 @@ def test_x_grid_narrower_than_the_state_exits_3(tmp_path, capsys, command, x_max
 
 
 @pytest.mark.parametrize("command,target", [
-    ("reconstruct", "_clean_scan"), ("noise-study", "monte_carlo_study"),
+    ("reconstruct", "find_minimum"), ("noise-study", "monte_carlo_study"),
 ])
 def test_a_report_with_nan_exits_6_and_writes_nothing(tmp_path, capsys, monkeypatch, command, target):
     nan = MinimumReport((math.nan, 0.0), math.nan, math.nan, 0.0, "paper")

@@ -333,6 +333,18 @@ def test_find_minimum_keeps_grid_node_when_refinement_is_worse():
     assert report.value == pytest.approx(float(target(report.location[0], 0.0)), abs=1e-15)
 
 
+def test_find_minimum_keeps_the_node_when_the_parabola_is_flat():
+    """f0 > f1 = f2 at the first minimum, yet f0 - 2 f1 + f2 rounds to 0.0: with
+    f1 = -0.5 and f0 = -0.5 + 2^-54, f0 - 2 f1 is 0.5 + 2^-54, which ties to 0.5.
+    Dividing by it would be a RuntimeWarning, an error in this suite."""
+
+    def target(u, v):
+        return np.select([(0.3 <= u) & (u < 0.5), (0.5 <= u) & (u <= 0.7)], [-0.5 + 2.0**-54, -0.5])
+
+    report = find_minimum(target, ((0.0, 1.0), (0.0, 0.0)))
+    assert report.location == (0.5, 0.0) and report.value == -0.5
+
+
 def test_find_minimum_validation():
     def target(u, v):
         return u**2 + v**2

@@ -23,6 +23,7 @@ from catscan import (
     default_phases,
     default_x_grid,
     evaluate_grid,
+    find_minimum,
     make_cat,
     reconstruct,
     reconstruct_at,
@@ -33,7 +34,6 @@ from catscan import (
 )
 from catscan.circuit import _herald
 from catscan.cli import parse_config
-from catscan.experiment import _clean_scan
 from catscan.tomography import extend_phases
 
 SQRT5 = math.sqrt(5.0)
@@ -902,7 +902,7 @@ def test_conjugate_shortcut_is_decided_from_the_phase_grid(monkeypatch):
     for run in (
         lambda: reconstruct(wigner_map_table, np.linspace(-3.0, 3.0, 41), [0.0, 0.5], cfg.recon),
         lambda: slice_terms(measured, *cfg.probe, cfg.recon),
-        lambda: _clean_scan(measured, cfg.recon, cfg.search_region, 0.01),
+        lambda: find_minimum(lambda u, v: reconstruct_at(measured, u, v, cfg.recon), cfg.search_region, 0.01),
     ):
         taken.clear()
         run()
